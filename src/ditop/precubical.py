@@ -31,9 +31,13 @@ from .errors import InputError, ResourceLimitError
 FaceKey = tuple["Cell", int, int]
 
 
-@dataclass(frozen=True, order=True)
-class Cell:
-    """A cell: a dimension plus a key that is unique within its complex."""
+class Cell(NamedTuple):
+    """A cell: a dimension plus a key that is unique within its complex.
+
+    A cell is a tuple, so hashing, equality and ordering by (dim, key)
+    run in C, and ``Cell(0, "a") == (0, "a")``.  Never key one dict or
+    set by both cells and plain ``(dim, key)`` tuples.
+    """
 
     dim: int
     key: str
@@ -59,7 +63,7 @@ class PrecubicalSet:
     complex); semantic soundness is the business of :func:`validate`.
     """
 
-    __slots__ = ("_cells", "_faces", "_out", "_in")
+    __slots__ = ("_cells", "_members", "_faces", "_out", "_in")
 
     def __init__(
         self,
@@ -80,6 +84,7 @@ class PrecubicalSet:
                 seen.add(c.key)
             by_dim[dim] = tuple(cs)
         self._cells = by_dim
+        self._members = frozenset(c for cs in by_dim.values() for c in cs)
         self._faces = dict(faces)
         self._out: dict[Cell, tuple[Cell, ...]] | None = None
         self._in: dict[Cell, tuple[Cell, ...]] | None = None
@@ -121,7 +126,7 @@ class PrecubicalSet:
         return not self._cells
 
     def __contains__(self, c: Cell) -> bool:
-        return c in self._cells.get(c.dim, ())
+        return c in self._members
 
     def face(self, c: Cell, direction: int, sign: int) -> Cell:
         try:
@@ -227,10 +232,8 @@ def validate(space: PrecubicalSet) -> list[Violation]:
     ``cubical-identity``.
     """
     report: list[Violation] = []
-    present = set(space.all_cells())
-
-    for (c, i, a) in sorted(dict(space.face_items()), key=lambda k: (k[0], k[1], k[2])):
-        if c not in present:
+    for (c, i, a) in sorted(k for k, _ in space.face_items()):
+        if c not in space:
             report.append(Violation("stray-face", f"face entry recorded for unknown cell {c.key!r}", c))
         elif not (1 <= i <= c.dim) or a not in (0, 1):
             report.append(Violation(
@@ -247,7 +250,7 @@ def validate(space: PrecubicalSet) -> list[Violation]:
                 except KeyError:
                     report.append(Violation("missing-face", f"cell {c.key!r} lacks face ({i},{a})", c))
                     continue
-                if t not in present:
+                if t not in space:
                     report.append(Violation(
                         "dangling-face",
                         f"face ({i},{a}) of {c.key!r} is the undeclared cell {t.key!r}",
@@ -702,8 +705,11 @@ def complex_from_data(data, check: bool = True) -> PrecubicalSet:
                 raise InputError(f"duplicate cell id {cid!r}")
             dim_of[cid] = dim
             cells.setdefault(dim, []).append(Cell(dim, cid))
+    raw_faces = data.get("faces") or {}
+    if not isinstance(raw_faces, dict):
+        raise InputError("'faces' must map cell ids to face tables")
     faces: dict[FaceKey, Cell] = {}
-    for cid, entry in (data.get("faces") or {}).items():
+    for cid, entry in raw_faces.items():
         if cid not in dim_of:
             raise InputError(f"faces recorded for unknown cell {cid!r}")
         dim = dim_of[cid]
@@ -751,6 +757,8 @@ def _resolve_complex_field(field, base_dir: Path | None, check: bool) -> Precubi
 def morphism_from_data(data, base_dir: Path | None = None, check: bool = True) -> PcMorphism:
     if not isinstance(data, dict) or not {"source", "target", "map"} <= set(data):
         raise InputError("morphism JSON needs 'source', 'target' and 'map' fields")
+    if not isinstance(data["map"], dict):
+        raise InputError("'map' must map source cell ids to target cell ids")
     source = _resolve_complex_field(data["source"], base_dir, check)
     target = _resolve_complex_field(data["target"], base_dir, check)
     by_key_src = {c.key: c for c in source.all_cells()}
@@ -759,6 +767,8 @@ def morphism_from_data(data, base_dir: Path | None = None, check: bool = True) -
     for src_id, tgt_id in data["map"].items():
         if src_id not in by_key_src:
             raise InputError(f"map key {src_id!r} is not a source cell")
+        if not isinstance(tgt_id, str):
+            raise InputError(f"map value of {src_id!r} must be a string id")
         if tgt_id not in by_key_tgt:
             raise InputError(f"map value {tgt_id!r} is not a target cell")
         mapping[by_key_src[src_id]] = by_key_tgt[tgt_id]

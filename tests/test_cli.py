@@ -69,6 +69,25 @@ class TestValidateVerb:
         assert code == 2
 
 
+class TestMalformedInput:
+    """Ill-shaped JSON is an input error (exit 2), never a crash."""
+
+    @pytest.mark.parametrize("verb, data", [
+        ("validate", {"cells": {"0": ["a"]}, "faces": ["a"]}),
+        ("check-cover", {"source": {"cells": {"0": ["a"]}},
+                         "target": {"cells": {"0": ["a"]}}, "map": ["a"]}),
+        ("check-cover", {"source": {"cells": {"0": ["a"]}},
+                         "target": {"cells": {"0": ["a"]}}, "map": {"a": ["a"]}}),
+    ])
+    def test_shape_errors_exit_2(self, run, tmp_path, verb, data):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(verb, str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("ditop: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 class TestPathVerbs:
     def test_paths(self, run, swiss_file):
         code, out, _ = run("paths", swiss_file, "--from", "c00", "--to", "c33", "--max-len", "6")

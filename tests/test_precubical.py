@@ -102,6 +102,7 @@ class TestStandardCube:
         assert len(arrow.vertices) == 2 and len(arrow.edges) == 1
         assert arrow.face(Cell(1, "*"), 1, 0) == Cell(0, "0")
         assert arrow.face(Cell(1, "*"), 1, 1) == Cell(0, "1")
+        assert Cell(0, "0") in arrow and Cell(1, "0") not in arrow
 
     def test_three_counts(self):
         from math import comb
@@ -115,6 +116,29 @@ class TestStandardCube:
         assert cube.min_corner(Cell(3, "***")) == Cell(0, "000")
         assert cube.max_corner(Cell(3, "***")) == Cell(0, "111")
         assert cube.corner_edge(Cell(3, "***"), 2) == Cell(1, "0*0")
+
+
+class TestCell:
+    def test_orders_by_dim_then_key(self):
+        cube = standard_cube(2)
+        cells = list(cube.all_cells())
+        assert sorted(reversed(cells)) == cells
+        assert sorted([Cell(1, "a"), Cell(0, "b"), Cell(2, "0"), Cell(0, "a")]) == [
+            Cell(0, "a"), Cell(0, "b"), Cell(1, "a"), Cell(2, "0"),
+        ]
+
+    def test_value_semantics(self):
+        assert Cell(1, "e") == Cell(1, "e") and hash(Cell(1, "e")) == hash(Cell(1, "e"))
+        assert Cell(1, "e") != Cell(0, "e")
+        assert len({Cell(1, "e"), Cell(1, "e"), Cell(0, "e")}) == 2
+        assert repr(Cell(0, "a")) == "Cell(0, 'a')"
+
+    def test_immutable(self):
+        c = Cell(1, "e")
+        with pytest.raises(AttributeError):
+            c.key = "f"
+        with pytest.raises(AttributeError):
+            c.dim = 2
 
 
 class TestTensor:

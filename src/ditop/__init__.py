@@ -37,7 +37,6 @@ from .precubical import (
     disjoint_union,
     edge,
     identity,
-    is_isomorphic,
     load_complex,
     load_morphism,
     morphism_from_data,

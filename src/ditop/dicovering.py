@@ -47,6 +47,7 @@ from .precubical import (
     codiagonal,
     disjoint_union,
     identity,
+    validate_morphism,
 )
 
 
@@ -91,6 +92,16 @@ def _fibers(p: PcMorphism) -> dict[Cell, list[Cell]]:
     return fibers
 
 
+def _edge_lifts(p: PcMorphism, at: Cell, e: Cell) -> list[Cell]:
+    """The edges upstairs over the base edge ``e`` that leave ``at``."""
+    return [ey for ey in p.source.out_edges(at) if p(ey) == e]
+
+
+def _cell_lifts(p: PcMorphism, fibers: dict[Cell, list[Cell]], c: Cell, corner: Cell) -> list[Cell]:
+    """The cells upstairs over ``c`` whose minimal corner is ``corner``."""
+    return [cy for cy in fibers.get(c, ()) if p.source.min_corner(cy) == corner]
+
+
 def lift_path(problem: LiftProblem) -> EdgePath:
     """Lift the base path edge by edge from the chosen start.
 
@@ -109,7 +120,7 @@ def lift_path(problem: LiftProblem) -> EdgePath:
     lifted: list[Cell] = []
     at = y
     for e in base.edges:
-        candidates = [ey for ey in p.source.out_edges(at) if p(ey) == e]
+        candidates = _edge_lifts(p, at, e)
         if not candidates:
             raise NoLiftError(
                 f"no edge over {e.key!r} leaves {at.key!r}", edge=e, vertex=at
@@ -159,7 +170,7 @@ def check_dicovering(p: PcMorphism, basepoint: Cell | None = None) -> Dicovering
     for y in relevant:
         x = p(y)
         for e in X.out_edges(x):
-            count = sum(1 for ey in Y.out_edges(y) if p(ey) == e)
+            count = len(_edge_lifts(p, y, e))
             if count != 1:
                 return DicoveringVerdict(False, EdgeLiftWitness(e, y, count))
 
@@ -188,13 +199,8 @@ def check_dicovering(p: PcMorphism, basepoint: Cell | None = None) -> Dicovering
 def replay_witness(p: PcMorphism, witness: EdgeLiftWitness | CellLiftWitness) -> int:
     """Recount the lifts a failure witness points at; a replay must give != 1."""
     if isinstance(witness, EdgeLiftWitness):
-        return sum(1 for ey in p.source.out_edges(witness.vertex) if p(ey) == witness.edge)
-    fibers = _fibers(p)
-    return sum(
-        1
-        for cy in fibers.get(witness.cell, ())
-        if p.source.min_corner(cy) == witness.corner
-    )
+        return len(_edge_lifts(p, witness.vertex, witness.edge))
+    return len(_cell_lifts(p, _fibers(p), witness.cell, witness.corner))
 
 
 def fold_map(space: PrecubicalSet, k: int) -> PcMorphism:
@@ -258,14 +264,19 @@ def universality_check(
     basepoint_lifts: tuple[Cell, Cell],
     node_budget: int = 1_000_000,
 ) -> PcMorphism | None:
-    """Find the morphism phi with p . phi = pi respecting the basepoint lifts.
+    """Lift pi through p from the basepoint lifts: the phi with p . phi = pi.
 
-    Returns the unique solution, ``None`` when there is none, and raises
-    AmbiguousFactorizationError when at least two exist (which signals
-    that p is not a dicovering, or that the basepoints underdetermine
-    phi).  The search assigns cells of pi's source over the fibres of p,
-    propagating forced choices through face constraints and branching
-    deterministically otherwise.
+    Every vertex of pi's source must be reachable from the first
+    basepoint, as in an unfolding.  Then phi is forced cell by cell:
+    each edge goes to its unique lift at the image of its source, and
+    each higher cell to the unique cell over its image whose minimal
+    corner is the image of its own minimal corner.
+
+    Returns phi, or ``None`` when a forced lift is missing or the lifts
+    do not fit together into a morphism.  Raises
+    AmbiguousFactorizationError when a step has several candidates,
+    which means p fails the basepointed dicovering check at pi(xt0), and
+    ResourceLimitError once more than ``node_budget`` cells are lifted.
     """
     if pi.target != p.target:
         raise InputError("both morphisms must share their target")
@@ -276,93 +287,42 @@ def universality_check(
         raise InputError(f"{y0.key!r} is not a vertex upstairs")
     if pi(xt0) != p(y0):
         raise InputError("basepoint lifts sit over different base vertices")
-
     Xt, Y = pi.source, p.source
+    unreached = sorted(set(Xt.vertices) - _reachable_vertices(Xt, [xt0]))
+    if unreached:
+        raise InputError(f"{unreached[0].key!r} cannot be reached from {xt0.key!r}")
+
+    phi: dict[Cell, Cell] = {}
+
+    def put(c: Cell, candidates: list[Cell]) -> bool:
+        """Send c to its only candidate; False when it has none."""
+        if len(candidates) > 1:
+            raise AmbiguousFactorizationError(
+                f"{len(candidates)} lifts of {c.key!r}; the projection is not a "
+                "dicovering at the basepoint"
+            )
+        if len(phi) >= node_budget:
+            # the `universal` verb prints this message, so it keeps its wording
+            raise ResourceLimitError("universality search exceeded its node budget")
+        if candidates:
+            phi[c] = candidates[0]
+        return bool(candidates)
+
+    put(xt0, [y0])
+    stack = [xt0]
+    while stack:
+        v = stack.pop()
+        for e in Xt.out_edges(v):
+            if not put(e, _edge_lifts(p, phi[v], pi(e))):
+                return None
+            w = Xt.face(e, 1, 1)
+            if w not in phi:
+                put(w, [Y.face(phi[e], 1, 1)])
+                stack.append(w)
+
     fibers = _fibers(p)
-    all_cells = sorted(Xt.all_cells())
-    nodes = 0
-
-    def pin(assignment: dict[Cell, Cell], c: Cell, d: Cell) -> bool:
-        """Assign c -> d together with everything its faces force."""
-        stack = [(c, d)]
-        while stack:
-            c, d = stack.pop()
-            prev = assignment.get(c)
-            if prev is not None:
-                if prev != d:
-                    return False
-                continue
-            assignment[c] = d
-            for i in range(1, c.dim + 1):
-                for s in (0, 1):
-                    stack.append((Xt.face(c, i, s), Y.face(d, i, s)))
-        return True
-
-    def candidates(assignment: dict[Cell, Cell], c: Cell) -> list[Cell]:
-        options = []
-        for d in fibers.get(pi(c), ()):
-            if d.dim != c.dim:
-                continue
-            ok = True
-            for i in range(1, c.dim + 1):
-                for s in (0, 1):
-                    want = assignment.get(Xt.face(c, i, s))
-                    if want is not None and Y.face(d, i, s) != want:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                options.append(d)
-        return options
-
-    solutions: list[dict[Cell, Cell]] = []
-
-    def search(assignment: dict[Cell, Cell]) -> None:
-        nonlocal nodes
-        while True:
-            nodes += 1
-            if nodes > node_budget:
-                raise ResourceLimitError("universality search exceeded its node budget")
-            todo = [c for c in all_cells if c not in assignment]
-            if not todo:
-                solutions.append(dict(assignment))
-                return
-            branch_cell = None
-            branch_options: list[Cell] | None = None
-            forced = False
-            for c in todo:
-                options = candidates(assignment, c)
-                if not options:
-                    return
-                if len(options) == 1:
-                    if not pin(assignment, c, options[0]):
-                        return
-                    forced = True
-                    break
-                if branch_options is None or len(options) < len(branch_options):
-                    branch_cell, branch_options = c, options
-            if forced:
-                continue
-            assert branch_cell is not None and branch_options is not None
-            for d in branch_options:
-                trial = dict(assignment)
-                if pin(trial, branch_cell, d):
-                    search(trial)
-                if len(solutions) >= 2:
-                    return
-            return
-
-    initial: dict[Cell, Cell] = {}
-    if not pin(initial, xt0, y0):
-        return None
-    search(initial)
-
-    if not solutions:
-        return None
-    if len(solutions) >= 2:
-        raise AmbiguousFactorizationError(
-            "the factorization is not unique; the projection is not a dicovering "
-            "or the basepoints underdetermine it"
-        )
-    return PcMorphism(Xt, Y, solutions[0])
+    for c in Xt.all_cells():
+        if c.dim >= 2 and not put(c, _cell_lifts(p, fibers, pi(c), phi[Xt.min_corner(c)])):
+            return None
+    phi_morphism = PcMorphism(Xt, Y, phi)
+    return None if validate_morphism(phi_morphism) else phi_morphism

@@ -101,20 +101,27 @@ def enumerate_paths(space: PrecubicalSet, a: Cell, b: Cell, max_len: int) -> lis
             raise InputError(f"{v.key!r} is not a vertex of the complex")
     if max_len < 0:
         raise InputError("max_len must be non-negative")
-    found: list[EdgePath] = []
+    found: list[EdgePath] = [EdgePath(a, ())] if a == b else []
+    # a depth-first walk on an explicit stack, so path length is not
+    # limited by the interpreter's recursion depth; stack[i] iterates the
+    # out-edges at the end of acc[:i], and len(acc) == len(stack) - 1
     acc: list[Cell] = []
-
-    def walk(at: Cell) -> None:
+    stack = [iter(space.out_edges(a))] if max_len else []
+    while stack:
+        e = next(stack[-1], None)
+        if e is None:
+            stack.pop()
+            if acc:
+                acc.pop()
+            continue
+        acc.append(e)
+        at = space.face(e, 1, 1)
         if at == b:
             found.append(EdgePath(a, tuple(acc)))
-        if len(acc) == max_len:
-            return
-        for e in space.out_edges(at):
-            acc.append(e)
-            walk(space.face(e, 1, 1))
+        if len(acc) < max_len:
+            stack.append(iter(space.out_edges(at)))
+        else:
             acc.pop()
-
-    walk(a)
     return found
 
 

@@ -45,7 +45,11 @@ class AmbiguousLiftError(LiftError):
 
 
 class AmbiguousFactorizationError(DitopError):
-    """A factorization required to be unique admits at least two solutions."""
+    """A factorization by lifting met a cell with two or more candidate lifts.
+
+    The projection then fails unique lifting at the basepoint, so it is
+    not a dicovering there.
+    """
 
 
 class PvSyntaxError(InputError):

@@ -26,7 +26,7 @@ from itertools import product as _product
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError
 
 FaceKey = tuple["Cell", int, int]
 
@@ -577,77 +577,6 @@ def chain_colimit(chain: Sequence[PcMorphism]) -> ChainColimit:
         legs.append(legs[-1] @ f)
     legs.reverse()
     return ChainColimit(last, tuple(legs))
-
-
-# ---------------------------------------------------------------------------
-# isomorphism search (test oracle, desk scale)
-
-
-def is_isomorphic(
-    x: PrecubicalSet, y: PrecubicalSet, node_budget: int = 1_000_000
-) -> PcMorphism | None:
-    """Search for a face-preserving bijection; ``None`` when there is none.
-
-    Plain backtracking over cells, lowest dimension first, with vertex
-    degree profiles and face-tuple indexing as pruning.  Raises
-    ResourceLimitError when the node budget is exhausted.
-    """
-    if {d: len(x.cells(d)) for d in x.dims()} != {d: len(y.cells(d)) for d in y.dims()}:
-        return None
-
-    def profile(space: PrecubicalSet, v: Cell) -> tuple[int, int]:
-        return (len(space.out_edges(v)), len(space.in_edges(v)))
-
-    y_by_profile: dict[tuple[int, int], list[Cell]] = {}
-    for v in y.vertices:
-        y_by_profile.setdefault(profile(y, v), []).append(v)
-
-    y_by_faces: dict[int, dict[tuple[Cell, ...], list[Cell]]] = {}
-    for dim in y.dims():
-        if dim == 0:
-            continue
-        index: dict[tuple[Cell, ...], list[Cell]] = {}
-        for c in y.cells(dim):
-            sig = tuple(y.face(c, i, a) for i in range(1, dim + 1) for a in (0, 1))
-            index.setdefault(sig, []).append(c)
-        y_by_faces[dim] = index
-
-    xs = sorted(x.all_cells())
-    assignment: dict[Cell, Cell] = {}
-    used: set[Cell] = set()
-    nodes = 0
-
-    def descend(idx: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise ResourceLimitError("isomorphism search exceeded its node budget")
-        if idx == len(xs):
-            return True
-        c = xs[idx]
-        if c.dim == 0:
-            candidates = y_by_profile.get(profile(x, c), [])
-        else:
-            sig = tuple(
-                assignment[x.face(c, i, a)]
-                for i in range(1, c.dim + 1)
-                for a in (0, 1)
-            )
-            candidates = y_by_faces.get(c.dim, {}).get(sig, [])
-        for d in candidates:
-            if d in used:
-                continue
-            assignment[c] = d
-            used.add(d)
-            if descend(idx + 1):
-                return True
-            used.discard(d)
-            del assignment[c]
-        return False
-
-    if descend(0):
-        return PcMorphism(x, y, assignment)
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,21 @@ Everything here is written naively and independently of the library
 code paths it is used to check: path enumeration by plain recursion
 over a locally built adjacency table, reachability by boolean-matrix
 closure, move neighbors by scanning every square, class partitions by
-union-find, and whole-path lifts by exhaustive enumeration upstairs.
+union-find, whole-path lifts by exhaustive enumeration upstairs,
+factorizations through a projection by backtracking search over its
+fibres, and isomorphisms by backtracking over cells.
 """
 
 from __future__ import annotations
+
+from ditop import (
+    AmbiguousFactorizationError,
+    Cell,
+    InputError,
+    PcMorphism,
+    PrecubicalSet,
+    ResourceLimitError,
+)
 
 
 def out_table(space):
@@ -146,3 +157,190 @@ def all_morphisms(source, target):
 
     descend(0)
     return results
+
+
+def search_factorization(
+    pi: PcMorphism,
+    p: PcMorphism,
+    basepoint_lifts: tuple[Cell, Cell],
+    node_budget: int = 1_000_000,
+) -> PcMorphism | None:
+    """Find the morphism phi with p . phi = pi respecting the basepoint lifts.
+
+    Returns the unique solution, ``None`` when there is none, and raises
+    AmbiguousFactorizationError when at least two exist (which signals
+    that p is not a dicovering, or that the basepoints underdetermine
+    phi).  The search assigns cells of pi's source over the fibres of p,
+    propagating forced choices through face constraints and branching
+    deterministically otherwise.
+    """
+    if pi.target != p.target:
+        raise InputError("both morphisms must share their target")
+    xt0, y0 = basepoint_lifts
+    if xt0 not in pi.source or xt0.dim != 0:
+        raise InputError(f"{xt0.key!r} is not a vertex of the factoring source")
+    if y0 not in p.source or y0.dim != 0:
+        raise InputError(f"{y0.key!r} is not a vertex upstairs")
+    if pi(xt0) != p(y0):
+        raise InputError("basepoint lifts sit over different base vertices")
+
+    Xt, Y = pi.source, p.source
+    fibers: dict[Cell, list[Cell]] = {}
+    for c, d in p.mapping.items():
+        fibers.setdefault(d, []).append(c)
+    for cs in fibers.values():
+        cs.sort()
+    all_cells = sorted(Xt.all_cells())
+    nodes = 0
+
+    def pin(assignment: dict[Cell, Cell], c: Cell, d: Cell) -> bool:
+        """Assign c -> d together with everything its faces force."""
+        stack = [(c, d)]
+        while stack:
+            c, d = stack.pop()
+            prev = assignment.get(c)
+            if prev is not None:
+                if prev != d:
+                    return False
+                continue
+            assignment[c] = d
+            for i in range(1, c.dim + 1):
+                for s in (0, 1):
+                    stack.append((Xt.face(c, i, s), Y.face(d, i, s)))
+        return True
+
+    def candidates(assignment: dict[Cell, Cell], c: Cell) -> list[Cell]:
+        options = []
+        for d in fibers.get(pi(c), ()):
+            if d.dim != c.dim:
+                continue
+            ok = True
+            for i in range(1, c.dim + 1):
+                for s in (0, 1):
+                    want = assignment.get(Xt.face(c, i, s))
+                    if want is not None and Y.face(d, i, s) != want:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok:
+                options.append(d)
+        return options
+
+    solutions: list[dict[Cell, Cell]] = []
+
+    def search(assignment: dict[Cell, Cell]) -> None:
+        nonlocal nodes
+        while True:
+            nodes += 1
+            if nodes > node_budget:
+                raise ResourceLimitError("universality search exceeded its node budget")
+            todo = [c for c in all_cells if c not in assignment]
+            if not todo:
+                solutions.append(dict(assignment))
+                return
+            branch_cell = None
+            branch_options: list[Cell] | None = None
+            forced = False
+            for c in todo:
+                options = candidates(assignment, c)
+                if not options:
+                    return
+                if len(options) == 1:
+                    if not pin(assignment, c, options[0]):
+                        return
+                    forced = True
+                    break
+                if branch_options is None or len(options) < len(branch_options):
+                    branch_cell, branch_options = c, options
+            if forced:
+                continue
+            assert branch_cell is not None and branch_options is not None
+            for d in branch_options:
+                trial = dict(assignment)
+                if pin(trial, branch_cell, d):
+                    search(trial)
+                if len(solutions) >= 2:
+                    return
+            return
+
+    initial: dict[Cell, Cell] = {}
+    if not pin(initial, xt0, y0):
+        return None
+    search(initial)
+
+    if not solutions:
+        return None
+    if len(solutions) >= 2:
+        raise AmbiguousFactorizationError(
+            "the factorization is not unique; the projection is not a dicovering "
+            "or the basepoints underdetermine it"
+        )
+    return PcMorphism(Xt, Y, solutions[0])
+
+
+def is_isomorphic(
+    x: PrecubicalSet, y: PrecubicalSet, node_budget: int = 1_000_000
+) -> PcMorphism | None:
+    """Search for a face-preserving bijection; ``None`` when there is none.
+
+    Plain backtracking over cells, lowest dimension first, with vertex
+    degree profiles and face-tuple indexing as pruning.  Raises
+    ResourceLimitError when the node budget is exhausted.
+    """
+    if {d: len(x.cells(d)) for d in x.dims()} != {d: len(y.cells(d)) for d in y.dims()}:
+        return None
+
+    def profile(space: PrecubicalSet, v: Cell) -> tuple[int, int]:
+        return (len(space.out_edges(v)), len(space.in_edges(v)))
+
+    y_by_profile: dict[tuple[int, int], list[Cell]] = {}
+    for v in y.vertices:
+        y_by_profile.setdefault(profile(y, v), []).append(v)
+
+    y_by_faces: dict[int, dict[tuple[Cell, ...], list[Cell]]] = {}
+    for dim in y.dims():
+        if dim == 0:
+            continue
+        index: dict[tuple[Cell, ...], list[Cell]] = {}
+        for c in y.cells(dim):
+            sig = tuple(y.face(c, i, a) for i in range(1, dim + 1) for a in (0, 1))
+            index.setdefault(sig, []).append(c)
+        y_by_faces[dim] = index
+
+    xs = sorted(x.all_cells())
+    assignment: dict[Cell, Cell] = {}
+    used: set[Cell] = set()
+    nodes = 0
+
+    def descend(idx: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise ResourceLimitError("isomorphism search exceeded its node budget")
+        if idx == len(xs):
+            return True
+        c = xs[idx]
+        if c.dim == 0:
+            candidates = y_by_profile.get(profile(x, c), [])
+        else:
+            sig = tuple(
+                assignment[x.face(c, i, a)]
+                for i in range(1, c.dim + 1)
+                for a in (0, 1)
+            )
+            candidates = y_by_faces.get(c.dim, {}).get(sig, [])
+        for d in candidates:
+            if d in used:
+                continue
+            assignment[c] = d
+            used.add(d)
+            if descend(idx + 1):
+                return True
+            used.discard(d)
+            del assignment[c]
+        return False
+
+    if descend(0):
+        return PcMorphism(x, y, assignment)
+    return None

@@ -29,7 +29,6 @@ from ditop import (
     fold_map,
     grid,
     identity,
-    is_isomorphic,
     lift_path,
     path_end,
     pushout,
@@ -184,13 +183,13 @@ def test_criterion_5_unfolding_correctness():
         arrow = standard_cube(1)
         for depth in (1, 2, 4):
             u = unfold(arrow, vertex("0"), depth)
-            assert u.complete and is_isomorphic(u.total, arrow)
+            assert u.complete and oracles.is_isomorphic(u.total, arrow)
 
         circle = directed_circle()
         for k in range(1, 9):
             u = unfold(circle, vertex("v0"), k)
             assert not u.complete
-            assert is_isomorphic(u.total, directed_path(k))
+            assert oracles.is_isomorphic(u.total, directed_path(k))
 
         swiss = grid(3, 3, holes={(1, 1)})
         x0 = vertex("c00")
@@ -215,8 +214,6 @@ def test_criterion_5_unfolding_correctness():
 def test_criterion_6_universality(acyclic_corpus):
     with verdict(6, "universality"):
         for name, space in acyclic_corpus:
-            if space.cell_count() > 150:
-                continue
             x0 = space.vertices[0]
             catalog = [
                 identity(space),

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ditop import Cell, fold_map, grid, standard_cube
+from ditop import Cell, directed_path, fold_map, grid, standard_cube
 from ditop.cli import canonical_json, main
 from ditop.dicovering import cylinder_projection
 from ditop.precubical import complex_to_data, morphism_to_data
@@ -110,6 +110,14 @@ class TestPathVerbs:
             "--max-len", "6", "--budget", "1",
         )
         assert code == 3 and "resource limit" in err
+
+    @pytest.mark.parametrize("verb", ["paths", "classes"])
+    def test_path_longer_than_recursion_limit(self, run, tmp_path, verb):
+        path = tmp_path / "long.json"
+        path.write_text(canonical_json(complex_to_data(directed_path(3000))))
+        code, out, _ = run(verb, str(path), "--from", "v0", "--to", "v3000", "--max-len", "3000")
+        assert code == 0
+        assert json.loads(out)["count"] == 1
 
     def test_unknown_vertex(self, run, swiss_file):
         code, _, _ = run("paths", swiss_file, "--from", "zz", "--to", "c33")

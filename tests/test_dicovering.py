@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -27,6 +28,7 @@ from ditop import (
     path_end,
     replay_witness,
     standard_cube,
+    unfold,
     universality_check,
     validate_morphism,
     verdict_to_data,
@@ -270,6 +272,52 @@ class TestUniversalityCheck:
         pi = identity(swiss_grid)
         with pytest.raises(ResourceLimitError):
             universality_check(pi, pi, (vertex("c00"), vertex("c00")), node_budget=0)
+
+    def test_budget_counts_cells_lifted(self, swiss_grid):
+        pi = identity(swiss_grid)
+        n = swiss_grid.cell_count()
+        assert universality_check(pi, pi, (vertex("c00"), vertex("c00")), node_budget=n) == pi
+        with pytest.raises(ResourceLimitError):
+            universality_check(pi, pi, (vertex("c00"), vertex("c00")), node_budget=n - 1)
+
+    def test_unrooted_source(self):
+        pi = identity(grid(2, 2))
+        with pytest.raises(InputError):
+            universality_check(pi, pi, (vertex("c11"), vertex("c11")))
+
+    def test_agrees_with_search_oracle(self, corpus, swiss_grid):
+        cases = []
+        for name, space in corpus:
+            u = unfold(space, space.vertices[0], 8)
+            catalog = (identity(space), fold_map(space, 2), fold_map(space, 3),
+                       cylinder_projection(space))
+            cases.extend((name, u.projection, p, u.root) for p in catalog)
+        u = unfold(swiss_grid, vertex("c00"), 8)
+        cases.append(("partial", u.projection, _partial_cover(swiss_grid), u.root))
+        # the two paths around the hole reach c33 but lift to different states
+        cases.append(("holed base", identity(swiss_grid), u.projection, vertex("c00")))
+        outcomes = []
+        for name, pi, p, xt0 in cases:
+            fiber = sorted(y for y, x in p.mapping.items() if x == pi(xt0) and y.dim == 0)
+            for y0 in fiber:
+                lifts = (xt0, y0)
+                try:
+                    expected = oracles.search_factorization(pi, p, lifts)
+                except AmbiguousFactorizationError:
+                    with pytest.raises(AmbiguousFactorizationError):
+                        universality_check(pi, p, lifts)
+                    outcomes.append("ambiguous")
+                    continue
+                phi = universality_check(pi, p, lifts)
+                if expected is None:
+                    assert phi is None, (name, y0)
+                    outcomes.append("none")
+                else:
+                    assert phi is not None and phi.mapping == expected.mapping, (name, y0)
+                    outcomes.append("unique")
+        # every corpus space and fold factors uniquely, every cylinder is
+        # ambiguous, and the last two cases have no factorization
+        assert Counter(outcomes) == {"unique": 102, "none": 2, "ambiguous": 17}
 
     def test_mismatched_targets(self, swiss_grid):
         with pytest.raises(InputError):

@@ -88,11 +88,10 @@ def _cmd_classes(args) -> int:
     a, b = _vertex(space, args.src), _vertex(space, args.dst)
     class_list = dihomotopy.classes(space, a, b, args.max_len, budget=args.budget)
     data = dihomotopy.classes_to_data(class_list, endpoints=(a, b))
-    saturated = any(cls.canonical.length == args.max_len for cls in class_list)
     data["meta"] = {
         "max_len": args.max_len,
         "budget": args.budget,
-        "length_bound_saturated": saturated,
+        "length_bound_saturated": dipath.longer_path_exists(space, a, b, args.max_len),
     }
     _emit(data)
     return 0

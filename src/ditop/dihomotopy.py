@@ -8,20 +8,27 @@ Every square s carries two monotone edge words along its boundary:
 An elementary move rewrites one word into the other at some position of
 a path.  Moves fix both endpoints and the path length; dihomotopy is the
 equivalence relation they generate, i.e. connectivity in the (symmetric)
-move graph.  Classification between two vertices partitions the
-enumerated paths into move components, each with a canonical
-representative: the lexicographically least member.
+move graph.
+
+One reflection engine, :func:`reflect`, computes the classes of the
+paths out of a vertex level by level (level = path length) without
+listing the paths: it extends each class by one edge and merges
+extensions that differ by a move on their last two edges.  Each class
+keeps its canonical representative, the lexicographically least member,
+and its path count.  :func:`classes` reads the classes between two
+vertices off that engine, and ``unfolding.unfold`` builds the universal
+dicovering on it.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InputError, InvalidPathError, ResourceLimitError
-from .dipath import EdgePath, check_path, enumerate_paths
-from .precubical import Cell, PrecubicalSet
+from .dipath import EdgePath, check_path, check_query, distances_to
+from .precubical import Cell, PrecubicalSet, _UnionFind
 
 BOTTOM_RIGHT = "bottom-right"
 LEFT_TOP = "left-top"
@@ -51,15 +58,24 @@ class MoveWitness:
 
 @dataclass(frozen=True)
 class DihomotopyClass:
+    """A dihomotopy class: its endpoints, its least path, and its size.
+
+    ``members`` lists the paths when they were materialized; otherwise
+    ``count`` gives their number.
+    """
+
     endpoints: tuple[Cell, Cell]
     canonical: EdgePath
     members: tuple[EdgePath, ...] | None = None
+    count: int | None = None
 
     @property
     def size(self) -> int:
-        if self.members is None:
-            raise InputError("class members were not materialized")
-        return len(self.members)
+        if self.members is not None:
+            return len(self.members)
+        if self.count is None:
+            raise InputError("class size was not computed")
+        return self.count
 
 
 def square_words(space: PrecubicalSet, s: Cell) -> dict[str, tuple[Cell, Cell]]:
@@ -198,21 +214,133 @@ def move_components(
     return components
 
 
+class Reflection(NamedTuple):
+    """The dihomotopy classes of the paths out of a vertex, by length.
+
+    State i is one class: ``ends[i]`` is the vertex its paths end at and
+    ``counts[i]`` how many paths it holds.  Its least path is the least
+    path of state ``back[i][0]`` followed by edge ``back[i][1]``, and the
+    root, state 0, is the constant path at ``x0``.  ``stages[n]`` lists
+    the states of length n in order of their least paths, and
+    ``ext[(i, e)]`` is the state reached by extending state i along edge e.
+    """
+
+    x0: Cell
+    back: list[tuple[int, Cell | None]]
+    ends: list[Cell]
+    counts: list[int]
+    stages: list[list[int]]
+    ext: dict[tuple[int, Cell], int]
+
+    def canonical(self, i: int) -> EdgePath:
+        """The least path of state i, in time linear in its length."""
+        edges = []
+        while i:
+            i, e = self.back[i]
+            edges.append(e)
+        edges.reverse()
+        return EdgePath(self.x0, tuple(edges))
+
+
+def reflect(
+    space: PrecubicalSet,
+    x0: Cell,
+    depth: int,
+    target: Cell | None = None,
+    budget: int | None = None,
+) -> Reflection:
+    """Classify the paths out of ``x0`` of length at most ``depth``.
+
+    Level n + 1 extends every state of level n along every out-edge of
+    its end, then merges the extensions (t.left, top) and (t.bottom,
+    right) for every square rooted at the end of a level n - 1 state t;
+    any move on an earlier pair of edges already happened inside a state.
+    A state's count is the sum of the counts of the extensions merged
+    into it.  The loop stops early at a level with no extension.
+
+    With a ``target``, an extension is made only when the target can
+    still be reached from its end within ``depth`` edges in all.  Both
+    paths of a move share their endpoints and length, so no merge among
+    such paths is lost and the states over the target are those of the
+    unpruned run.  ``budget`` caps the number of extensions made, checked
+    at every level.
+    """
+    squares_at: dict[Cell, list[tuple[Cell, Cell, Cell, Cell]]] = {}
+    for s in space.squares:
+        squares_at.setdefault(space.min_corner(s), []).append((
+            space.face(s, 1, 0), space.face(s, 2, 1),
+            space.face(s, 2, 0), space.face(s, 1, 1),
+        ))
+    dist = None if target is None else distances_to(space, target)
+    unreachable = depth + 1
+
+    back: list[tuple[int, Cell | None]] = [(0, None)]
+    ends = [x0]
+    counts = [1]
+    stages = [[0]]
+    ext: dict[tuple[int, Cell], int] = {}
+    made = 0
+    for level in range(depth):
+        room = depth - level - 1
+        exts = [
+            (u, e)
+            for u in stages[level]
+            for e in space.out_edges(ends[u])
+            if dist is None or dist.get(space.face(e, 1, 1), unreachable) <= room
+        ]
+        if not exts:
+            break
+        made += len(exts)
+        if budget is not None and made > budget:
+            raise ResourceLimitError(
+                f"class search exceeded its budget at path length {level + 1}"
+            )
+        uf = _UnionFind()
+        for item in exts:
+            uf.find(item)
+        if level >= 1:
+            for t in stages[level - 1]:
+                for left, top, bottom, right in squares_at.get(ends[t], ()):
+                    if dist is not None and dist.get(space.face(top, 1, 1), unreachable) > room:
+                        continue
+                    uf.union((ext[(t, left)], top), (ext[(t, bottom)], right))
+        groups: dict[tuple[int, Cell], list[tuple[int, Cell]]] = {}
+        for item in exts:
+            groups.setdefault(uf.find(item), []).append(item)
+        # The states of a level are numbered in order of their least paths
+        # and out-edges are sorted, so exts runs in order of least path:
+        # each group's first item gives its least path, and the groups
+        # arise in that order.
+        stage = []
+        for members in groups.values():
+            idx = len(back)
+            back.append(members[0])
+            ends.append(space.face(members[0][1], 1, 1))
+            counts.append(sum(counts[v] for v, _ in members))
+            for item in members:
+                ext[item] = idx
+            stage.append(idx)
+        stages.append(stage)
+    return Reflection(x0, back, ends, counts, stages, ext)
+
+
 def classes(
     space: PrecubicalSet, a: Cell, b: Cell, max_len: int, budget: int = DEFAULT_BUDGET
 ) -> list[DihomotopyClass]:
     """Dihomotopy classes of the paths from a to b of length at most max_len.
 
-    Every class materializes its members (sorted), with the least member
-    as canonical representative; the class list is ordered by canonical
-    representative.
+    The classes are the states of :func:`reflect` over b, ordered by
+    canonical representative; each carries its path count, not its
+    members.  ``budget`` caps the (state, edge) extensions made, and
+    running past it raises ResourceLimitError.
     """
-    paths = enumerate_paths(space, a, b, max_len)
-    components = move_components(space, paths, budget=budget)
-    result = []
-    for component in components:
-        members = tuple(sorted(component, key=EdgePath.edge_keys))
-        result.append(DihomotopyClass((a, b), members[0], members))
+    check_query(space, a, b, max_len)
+    r = reflect(space, a, max_len, target=b, budget=budget)
+    result = [
+        DihomotopyClass((a, b), r.canonical(i), count=r.counts[i])
+        for i, end in enumerate(r.ends)
+        if end == b
+    ]
     result.sort(key=lambda cls: cls.canonical.edge_keys())
     return result
 

@@ -14,6 +14,7 @@ finer path structure is worth keeping.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import EndpointMismatchError, InputError, InvalidPathError
@@ -89,6 +90,15 @@ def concat(space: PrecubicalSet, p: EdgePath, q: EdgePath) -> EdgePath:
     return EdgePath(p.start, p.edges + q.edges)
 
 
+def check_query(space: PrecubicalSet, a: Cell, b: Cell, max_len: int) -> None:
+    """Raise InputError unless a and b are vertices and max_len is not negative."""
+    for v in (a, b):
+        if v.dim != 0 or v not in space:
+            raise InputError(f"{v.key!r} is not a vertex of the complex")
+    if max_len < 0:
+        raise InputError("max_len must be non-negative")
+
+
 def enumerate_paths(space: PrecubicalSet, a: Cell, b: Cell, max_len: int) -> list[EdgePath]:
     """All edge paths from a to b with at most ``max_len`` edges.
 
@@ -96,11 +106,7 @@ def enumerate_paths(space: PrecubicalSet, a: Cell, b: Cell, max_len: int) -> lis
     constant path, when a == b, comes first), duplicate-free by
     construction.
     """
-    for v in (a, b):
-        if v.dim != 0 or v not in space:
-            raise InputError(f"{v.key!r} is not a vertex of the complex")
-    if max_len < 0:
-        raise InputError("max_len must be non-negative")
+    check_query(space, a, b, max_len)
     found: list[EdgePath] = [EdgePath(a, ())] if a == b else []
     # a depth-first walk on an explicit stack, so path length is not
     # limited by the interpreter's recursion depth; stack[i] iterates the
@@ -123,6 +129,61 @@ def enumerate_paths(space: PrecubicalSet, a: Cell, b: Cell, max_len: int) -> lis
         else:
             acc.pop()
     return found
+
+
+def distances_to(space: PrecubicalSet, b: Cell) -> dict[Cell, int]:
+    """Fewest edges from each vertex that can reach b to b (reverse BFS)."""
+    dist = {b: 0}
+    queue = deque([b])
+    while queue:
+        v = queue.popleft()
+        for e in space.in_edges(v):
+            u = space.face(e, 1, 0)
+            if u not in dist:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    return dist
+
+
+def longer_path_exists(space: PrecubicalSet, a: Cell, b: Cell, max_len: int) -> bool:
+    """Whether some edge path from a to b has more than ``max_len`` edges.
+
+    Such paths run through the vertices that are reachable from a and can
+    reach b.  A directed cycle among them gives paths of every greater
+    length; otherwise they form a DAG whose longest a-to-b path is found
+    in topological order.  Linear in the size of the complex.
+    """
+    coreach = distances_to(space, b)
+    if a not in coreach:
+        return False
+    heads = {
+        v: [w for w in (space.face(e, 1, 1) for e in space.out_edges(v)) if w in coreach]
+        for v in coreach
+    }
+    between = {a}
+    stack = [a]
+    while stack:
+        for w in heads[stack.pop()]:
+            if w not in between:
+                between.add(w)
+                stack.append(w)
+    indegree = dict.fromkeys(between, 0)
+    for v in between:
+        for w in heads[v]:
+            indegree[w] += 1
+    # every vertex but a has a predecessor here, so only a can start the order
+    longest = dict.fromkeys(between, 0)
+    ready = [v for v in between if not indegree[v]]
+    ordered = 0
+    while ready:
+        v = ready.pop()
+        ordered += 1
+        for w in heads[v]:
+            longest[w] = max(longest[w], longest[v] + 1)
+            indegree[w] -= 1
+            if not indegree[w]:
+                ready.append(w)
+    return ordered < len(between) or longest[b] > max_len
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,18 @@ edge per (state, outgoing base edge) pair, and in general one n-cell per
 projection sends a state to its endpoint and a lifted cell to its base
 cell.
 
-The construction is a reflection iteration, stage = path length:
+The states come from the reflection engine ``dihomotopy.reflect``,
+stage = path length:
 
   1. extend every frontier state along every outgoing edge of X;
   2. merge extensions that differ by an elementary move across a square
      (union-find over extension pairs), so states stay dihomotopy
-     classes, and attach the square witnessing each merge;
-  3. attach higher cells once their whole lower boundary is present.
+     classes;
+
+each state carries its least path and its path count.  This module
+assembles the total complex from the states: one edge per extension,
+and one n-cell per (state, n-cell rooted at its end) within the depth;
+the squares among them witness the merges.
 
 The iteration stops either at a fixed point (``complete``) or at the
 depth cap; directed loops downstairs make every finite depth
@@ -39,13 +44,12 @@ from .dicovering import (
     universality_check,
     verdict_to_data,
 )
-from .dihomotopy import DihomotopyClass
+from .dihomotopy import DihomotopyClass, reflect
 from .dipath import EdgePath, path_to_data
 from .precubical import (
     Cell,
     PcMorphism,
     PrecubicalSet,
-    _UnionFind,
     complex_to_data,
     morphism_to_data,
 )
@@ -72,60 +76,12 @@ def unfold(space: PrecubicalSet, x0: Cell, depth: int) -> Unfolding:
     if depth < 0:
         raise InputError("depth must be non-negative")
 
-    squares_at: dict[Cell, list[Cell]] = {}
-    for s in space.squares:
-        squares_at.setdefault(space.min_corner(s), []).append(s)
-    for group in squares_at.values():
-        group.sort()
-
-    canon: list[EdgePath] = [EdgePath(x0)]
-    ends: list[Cell] = [x0]
-    stage: list[list[int]] = [[0]]
-    ext: dict[tuple[int, Cell], int] = {}
-    saturated_early = False
-
-    for level in range(depth):
-        exts = [
-            (u, e)
-            for u in stage[level]
-            for e in space.out_edges(ends[u])
-        ]
-        if not exts:
-            saturated_early = True
-            break
-        uf = _UnionFind()
-        for item in exts:
-            uf.find(item)
-        if level >= 1:
-            for t in stage[level - 1]:
-                for s in squares_at.get(ends[t], ()):
-                    left, right = space.face(s, 1, 0), space.face(s, 1, 1)
-                    bottom, top = space.face(s, 2, 0), space.face(s, 2, 1)
-                    after_left = ext[(t, left)]
-                    after_bottom = ext[(t, bottom)]
-                    uf.union((after_left, top), (after_bottom, right))
-        groups: dict[tuple[int, Cell], list[tuple[int, Cell]]] = {}
-        for item in exts:
-            groups.setdefault(uf.find(item), []).append(item)
-        fresh = []
-        for members in groups.values():
-            edges = min(canon[u].edges + (e,) for (u, e) in members)
-            fresh.append((tuple(c.key for c in edges), edges, members))
-        fresh.sort(key=lambda item: item[0])
-        indices = []
-        for _, edges, members in fresh:
-            idx = len(canon)
-            canon.append(EdgePath(x0, edges))
-            ends.append(space.face(edges[-1], 1, 1))
-            for item in members:
-                ext[item] = idx
-            indices.append(idx)
-        stage.append(indices)
-
-    if saturated_early:
-        complete = True
-    else:
-        complete = all(not space.out_edges(ends[u]) for u in stage[depth])
+    r = reflect(space, x0, depth)
+    ends, ext = r.ends, r.ext
+    canon = [EdgePath(x0)]
+    for u, e in r.back[1:]:
+        canon.append(EdgePath(x0, canon[u].edges + (e,)))
+    complete = all(not space.out_edges(ends[u]) for u in r.stages[-1])
 
     # assemble the total complex
     def state_cell(i: int) -> Cell:
@@ -171,7 +127,7 @@ def unfold(space: PrecubicalSet, x0: Cell, depth: int) -> Unfolding:
     total = PrecubicalSet(cells, faces)
     projection = PcMorphism(total, space, proj)
     states = {
-        state_cell(i): DihomotopyClass((x0, ends[i]), canon[i], None)
+        state_cell(i): DihomotopyClass((x0, ends[i]), canon[i], count=r.counts[i])
         for i in range(len(canon))
     }
     return Unfolding(total, projection, states, complete, depth, state_cell(0))

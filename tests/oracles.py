@@ -4,7 +4,8 @@ Everything here is written naively and independently of the library
 code paths it is used to check: path enumeration by plain recursion
 over a locally built adjacency table, reachability by boolean-matrix
 closure, move neighbors by scanning every square, class partitions by
-union-find, whole-path lifts by exhaustive enumeration upstairs,
+union-find, longer paths by enumerating past the length bound, whole-path
+lifts by exhaustive enumeration upstairs,
 factorizations through a projection by backtracking search over its
 fibres, and isomorphisms by backtracking over cells.
 """
@@ -110,6 +111,25 @@ def naive_partition(space, edge_tuples):
     for t in edge_tuples:
         groups.setdefault(find(t), set()).add(t)
     return {frozenset(g) for g in groups.values()}
+
+
+def class_summary(space, a, b, max_len):
+    """Sorted (least member's edge keys, size) of each class of a-to-b paths."""
+    blocks = naive_partition(space, dfs_paths(space, a, b, max_len))
+    return sorted(
+        (min(tuple(e.key for e in t) for t in block), len(block)) for block in blocks
+    )
+
+
+def longer_path_exists(space, a, b, max_len):
+    """Whether some a-to-b path has more than max_len edges.
+
+    If one does, the shortest such path has at most max_len + |V| edges:
+    a longer one repeats a vertex, and cutting out that cycle (at most |V|
+    edges) would leave a shorter path still longer than max_len.
+    """
+    bound = max_len + len(space.vertices)
+    return any(len(p) > max_len for p in dfs_paths(space, a, b, bound))
 
 
 def brute_force_lifts(projection, base_edges, y0):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -102,7 +103,22 @@ class TestPathVerbs:
         data = json.loads(out)
         assert data["count"] == 2
         assert data["endpoints"] == ["c00", "c33"]
-        assert data["meta"]["length_bound_saturated"] is True
+        # acyclic, and its longest c00 -> c33 path has 6 edges
+        assert data["meta"]["length_bound_saturated"] is False
+
+    def test_length_bound_saturated_means_a_longer_path_exists(self, run, tmp_path):
+        path = tmp_path / "detour.json"
+        path.write_text(json.dumps({
+            "cells": {"0": ["a", "b", "c", "d"], "1": ["ab", "ac", "cd", "db"]},
+            "faces": {e: {"1,0": e[0], "1,1": e[1]} for e in ("ab", "ac", "cd", "db")},
+        }))
+        reports = {}
+        for max_len in ("2", "3"):
+            code, out, _ = run("classes", str(path), "--from", "a", "--to", "b", "--max-len", max_len)
+            assert code == 0
+            reports[max_len] = json.loads(out)
+        assert reports["2"]["count"] == 1 and reports["2"]["meta"]["length_bound_saturated"] is True
+        assert reports["3"]["count"] == 2 and reports["3"]["meta"]["length_bound_saturated"] is False
 
     def test_classes_budget_exhausted(self, run, swiss_file):
         code, _, err = run(
@@ -110,6 +126,19 @@ class TestPathVerbs:
             "--max-len", "6", "--budget", "1",
         )
         assert code == 3 and "resource limit" in err
+
+    def test_classes_budget_stops_exponential_work(self, run, tmp_path):
+        # 2^40 paths o -> o of length 40; the budget must stop the run early
+        path = tmp_path / "bouquet.json"
+        path.write_text(json.dumps({
+            "cells": {"0": ["o"], "1": ["x", "y"]},
+            "faces": {e: {"1,0": "o", "1,1": "o"} for e in ("x", "y")},
+        }))
+        start = time.perf_counter()
+        code, out, err = run("classes", str(path), "--from", "o", "--to", "o",
+                             "--max-len", "40", "--budget", "1000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == "" and "resource limit" in err
 
     @pytest.mark.parametrize("verb", ["paths", "classes"])
     def test_path_longer_than_recursion_limit(self, run, tmp_path, verb):

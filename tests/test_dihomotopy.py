@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ditop import (
     BOTTOM_RIGHT,
     Cell,
+    DihomotopyClass,
     EdgePath,
+    InputError,
     ResourceLimitError,
     apply_move,
     classes,
@@ -19,8 +22,14 @@ from ditop import (
     standard_cube,
     vertex,
 )
+from ditop.dipath import longer_path_exists
 
 import oracles
+
+
+def summary(result):
+    """Sorted (canonical edge keys, size) of a class list: every field the verb outputs."""
+    return sorted((cls.canonical.edge_keys(), cls.size) for cls in result)
 
 
 def square_paths():
@@ -169,13 +178,12 @@ class TestClasses:
 
     def test_matches_oracle_partition(self, corpus):
         for name, space in corpus:
-            a = space.vertices[0]
-            for b in space.vertices[:4]:
-                result = classes(space, a, b, 5)
-                tuples = [p.edges for p in enumerate_paths(space, a, b, 5)]
-                oracle = oracles.naive_partition(space, tuples)
-                got = {frozenset(p.edges for p in cls.members) for cls in result}
-                assert got == oracle, name
+            for a in space.vertices:
+                for b in space.vertices:
+                    for max_len in (0, 3, 5):
+                        got = summary(classes(space, a, b, max_len))
+                        want = oracles.class_summary(space, a, b, max_len)
+                        assert got == want, (name, a, b, max_len)
 
     def test_partition_order_independent(self, swiss_grid):
         a, b = vertex("c00"), vertex("c33")
@@ -199,8 +207,24 @@ class TestClasses:
         assert counts[-1] == 1
 
     def test_canonical_is_least_member(self, swiss_grid):
-        for cls in classes(swiss_grid, vertex("c00"), vertex("c33"), 6):
-            assert cls.canonical == min(cls.members, key=EdgePath.edge_keys)
+        a, b = vertex("c00"), vertex("c33")
+        result = classes(swiss_grid, a, b, 6)
+        assert summary(result) == oracles.class_summary(swiss_grid, a, b, 6)
+        assert all(cls.members is None for cls in result)
+
+    def test_budget_counts_extensions(self, swiss_grid):
+        # 28 extensions of a prefix class by an edge lead to the two classes
+        # of the 20 paths c00 -> c33; the 28th extends a class of length 5
+        a, b = vertex("c00"), vertex("c33")
+        assert len(classes(swiss_grid, a, b, 6, budget=28)) == 2
+        with pytest.raises(ResourceLimitError, match="path length 6"):
+            classes(swiss_grid, a, b, 6, budget=27)
+
+    def test_rejects_bad_input(self, swiss_grid):
+        with pytest.raises(InputError):
+            classes(swiss_grid, vertex("zz"), vertex("c33"), 6)
+        with pytest.raises(InputError):
+            classes(swiss_grid, vertex("c00"), vertex("c33"), -1)
 
     def test_class_report_schema(self, swiss_grid):
         result = classes(swiss_grid, vertex("c00"), vertex("c33"), 6)
@@ -210,3 +234,43 @@ class TestClasses:
         for entry in data["classes"]:
             path = path_from_data(entry["canonical"], swiss_grid)
             assert entry["size"] > 0 and path.length == 6
+
+
+class TestClassSize:
+    def test_members_or_count(self):
+        space, br, lt = square_paths()
+        ends = (vertex("00"), vertex("11"))
+        assert DihomotopyClass(ends, br, (br, lt)).size == 2
+        assert DihomotopyClass(ends, br, count=5).size == 5
+        with pytest.raises(InputError):
+            DihomotopyClass(ends, br).size
+
+
+class TestLongerPathExists:
+    def test_matches_oracle(self, corpus):
+        for name, space in corpus:
+            for a in space.vertices:
+                for b in space.vertices:
+                    for max_len in (0, 3, 5):
+                        want = oracles.longer_path_exists(space, a, b, max_len)
+                        assert longer_path_exists(space, a, b, max_len) == want, (
+                            name, a, b, max_len)
+
+
+@st.composite
+def grid_problems(draw):
+    width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    squares = [(x, y) for x in range(width) for y in range(height)]
+    space = grid(width, height, holes=draw(st.sets(st.sampled_from(squares))))
+    a = draw(st.sampled_from(space.vertices))
+    b = draw(st.sampled_from(space.vertices))
+    return space, a, b, draw(st.integers(0, 8))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(grid_problems())
+def test_classes_and_bound_match_oracles_on_random_grids(problem):
+    space, a, b, max_len = problem
+    assert summary(classes(space, a, b, max_len)) == oracles.class_summary(space, a, b, max_len)
+    assert longer_path_exists(space, a, b, max_len) == oracles.longer_path_exists(
+        space, a, b, max_len)

@@ -95,6 +95,20 @@ class TestUnfold:
         }
         assert fiber_sizes(u) == expected
 
+    def test_state_counts_are_path_counts(self, acyclic_corpus):
+        for name, space in acyclic_corpus:
+            x0 = space.vertices[0]
+            u = unfold(space, x0, 6)
+            counted = {}
+            for cls in u.states.values():
+                key = (cls.endpoints[1], cls.canonical.length)
+                counted[key] = counted.get(key, 0) + cls.size
+            for v in space.vertices:
+                paths = oracles.dfs_paths(space, x0, v, 6)
+                for n in range(7):
+                    want = sum(1 for p in paths if len(p) == n)
+                    assert counted.get((v, n), 0) == want, (name, v, n)
+
     def test_loops_unwound_even_when_base_loops(self):
         circle = directed_circle()
         u = unfold(circle, vertex("v0"), 6)

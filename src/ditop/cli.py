@@ -132,12 +132,7 @@ def _cmd_check_cover(args) -> int:
 def _cmd_universal(args) -> int:
     space = load_complex(args.file)
     x0 = _vertex(space, args.base)
-    catalog = []
-    for path in args.against:
-        p = load_morphism(path)
-        if p.target != space:
-            raise InputError(f"{path} does not target the base complex")
-        catalog.append(p)
+    catalog = [load_morphism(path) for path in args.against]
     report = universal_property_suite(
         space, x0, args.depth, catalog, labels=list(args.against),
         node_budget=args.budget,

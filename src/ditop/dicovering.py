@@ -30,7 +30,6 @@ which is the basepointed flavour of the definition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import (
     AmbiguousFactorizationError,
@@ -39,7 +38,7 @@ from .errors import (
     NoLiftError,
     ResourceLimitError,
 )
-from .dipath import EdgePath, check_path
+from .dipath import EdgePath, check_path, reachable
 from .precubical import (
     Cell,
     PcMorphism,
@@ -83,23 +82,13 @@ class DicoveringVerdict:
         return self.is_dicovering
 
 
-def _fibers(p: PcMorphism) -> dict[Cell, list[Cell]]:
-    fibers: dict[Cell, list[Cell]] = {}
-    for c, d in p.mapping.items():
-        fibers.setdefault(d, []).append(c)
-    for cs in fibers.values():
-        cs.sort()
-    return fibers
+def _lifts(p: PcMorphism, y: Cell, c: Cell) -> list[Cell]:
+    """The cells upstairs over ``c`` whose minimal corner is ``y``.
 
-
-def _edge_lifts(p: PcMorphism, at: Cell, e: Cell) -> list[Cell]:
-    """The edges upstairs over the base edge ``e`` that leave ``at``."""
-    return [ey for ey in p.source.out_edges(at) if p(ey) == e]
-
-
-def _cell_lifts(p: PcMorphism, fibers: dict[Cell, list[Cell]], c: Cell, corner: Cell) -> list[Cell]:
-    """The cells upstairs over ``c`` whose minimal corner is ``corner``."""
-    return [cy for cy in fibers.get(c, ()) if p.source.min_corner(cy) == corner]
+    An edge is rooted at its source, so one rule lifts edges and higher
+    cells alike.
+    """
+    return [cy for cy in p.source.rooted(y, c.dim) if p(cy) == c]
 
 
 def lift_path(problem: LiftProblem) -> EdgePath:
@@ -120,7 +109,7 @@ def lift_path(problem: LiftProblem) -> EdgePath:
     lifted: list[Cell] = []
     at = y
     for e in base.edges:
-        candidates = _edge_lifts(p, at, e)
+        candidates = _lifts(p, at, e)
         if not candidates:
             raise NoLiftError(
                 f"no edge over {e.key!r} leaves {at.key!r}", edge=e, vertex=at
@@ -137,19 +126,6 @@ def lift_path(problem: LiftProblem) -> EdgePath:
     return EdgePath(y, tuple(lifted))
 
 
-def _reachable_vertices(space: PrecubicalSet, seeds: Sequence[Cell]) -> set[Cell]:
-    seen = set(seeds)
-    stack = list(seeds)
-    while stack:
-        at = stack.pop()
-        for e in space.out_edges(at):
-            nxt = space.face(e, 1, 1)
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
-
-
 def check_dicovering(p: PcMorphism, basepoint: Cell | None = None) -> DicoveringVerdict:
     """Decide the unique-lifting conditions, with a witness on failure.
 
@@ -158,49 +134,33 @@ def check_dicovering(p: PcMorphism, basepoint: Cell | None = None) -> Dicovering
     be replayed with :func:`replay_witness`.
     """
     X, Y = p.target, p.source
-    fibers = _fibers(p)
     if basepoint is None:
         relevant = sorted(Y.vertices)
     else:
         if basepoint not in X or basepoint.dim != 0:
             raise InputError(f"basepoint {basepoint.key!r} is not a vertex of the base")
-        seeds = [y for y in fibers.get(basepoint, []) if y.dim == 0]
-        relevant = sorted(_reachable_vertices(Y, seeds))
+        relevant = sorted(reachable(Y, [y for y in Y.vertices if p(y) == basepoint]))
 
     for y in relevant:
-        x = p(y)
-        for e in X.out_edges(x):
-            count = len(_edge_lifts(p, y, e))
+        for e in X.rooted(p(y), 1):
+            count = len(_lifts(p, y, e))
             if count != 1:
                 return DicoveringVerdict(False, EdgeLiftWitness(e, y, count))
-
-    rooted: dict[Cell, list[Cell]] = {}
-    for dim in X.dims():
-        if dim < 2:
-            continue
-        for c in X.cells(dim):
-            rooted.setdefault(X.min_corner(c), []).append(c)
-    for cs in rooted.values():
-        cs.sort()
-
-    corner_of: dict[Cell, Cell] = {}
-    for cy in Y.all_cells():
-        if cy.dim >= 2:
-            corner_of[cy] = Y.min_corner(cy)
-
+    higher = [dim for dim in X.dims() if dim >= 2]
     for y in relevant:
-        for c in rooted.get(p(y), ()):
-            count = sum(1 for cy in fibers.get(c, ()) if corner_of.get(cy) == y)
-            if count != 1:
-                return DicoveringVerdict(False, CellLiftWitness(c, y, count))
+        for dim in higher:
+            for c in X.rooted(p(y), dim):
+                count = len(_lifts(p, y, c))
+                if count != 1:
+                    return DicoveringVerdict(False, CellLiftWitness(c, y, count))
     return DicoveringVerdict(True, None)
 
 
 def replay_witness(p: PcMorphism, witness: EdgeLiftWitness | CellLiftWitness) -> int:
     """Recount the lifts a failure witness points at; a replay must give != 1."""
     if isinstance(witness, EdgeLiftWitness):
-        return len(_edge_lifts(p, witness.vertex, witness.edge))
-    return len(_cell_lifts(p, _fibers(p), witness.cell, witness.corner))
+        return len(_lifts(p, witness.vertex, witness.edge))
+    return len(_lifts(p, witness.corner, witness.cell))
 
 
 def fold_map(space: PrecubicalSet, k: int) -> PcMorphism:
@@ -288,7 +248,7 @@ def universality_check(
     if pi(xt0) != p(y0):
         raise InputError("basepoint lifts sit over different base vertices")
     Xt, Y = pi.source, p.source
-    unreached = sorted(set(Xt.vertices) - _reachable_vertices(Xt, [xt0]))
+    unreached = sorted(set(Xt.vertices) - reachable(Xt, [xt0]))
     if unreached:
         raise InputError(f"{unreached[0].key!r} cannot be reached from {xt0.key!r}")
 
@@ -313,16 +273,15 @@ def universality_check(
     while stack:
         v = stack.pop()
         for e in Xt.out_edges(v):
-            if not put(e, _edge_lifts(p, phi[v], pi(e))):
+            if not put(e, _lifts(p, phi[v], pi(e))):
                 return None
             w = Xt.face(e, 1, 1)
             if w not in phi:
                 put(w, [Y.face(phi[e], 1, 1)])
                 stack.append(w)
 
-    fibers = _fibers(p)
     for c in Xt.all_cells():
-        if c.dim >= 2 and not put(c, _cell_lifts(p, fibers, pi(c), phi[Xt.min_corner(c)])):
+        if c.dim >= 2 and not put(c, _lifts(p, phi[Xt.min_corner(c)], pi(c))):
             return None
     phi_morphism = PcMorphism(Xt, Y, phi)
     return None if validate_morphism(phi_morphism) else phi_morphism

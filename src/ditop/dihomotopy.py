@@ -265,12 +265,6 @@ def reflect(
     unpruned run.  ``budget`` caps the number of extensions made, checked
     at every level.
     """
-    squares_at: dict[Cell, list[tuple[Cell, Cell, Cell, Cell]]] = {}
-    for s in space.squares:
-        squares_at.setdefault(space.min_corner(s), []).append((
-            space.face(s, 1, 0), space.face(s, 2, 1),
-            space.face(s, 2, 0), space.face(s, 1, 1),
-        ))
     dist = None if target is None else distances_to(space, target)
     unreachable = depth + 1
 
@@ -300,7 +294,9 @@ def reflect(
             uf.find(item)
         if level >= 1:
             for t in stages[level - 1]:
-                for left, top, bottom, right in squares_at.get(ends[t], ()):
+                for s in space.rooted(ends[t], 2):
+                    left, top = space.face(s, 1, 0), space.face(s, 2, 1)
+                    bottom, right = space.face(s, 2, 0), space.face(s, 1, 1)
                     if dist is not None and dist.get(space.face(top, 1, 1), unreachable) > room:
                         continue
                     uf.union((ext[(t, left)], top), (ext[(t, bottom)], right))

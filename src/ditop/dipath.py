@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import EndpointMismatchError, InputError, InvalidPathError
 from .precubical import Cell, PrecubicalSet
@@ -200,20 +201,24 @@ class Preorder:
         return all(x == y or (y, x) not in self.pairs for (x, y) in self.pairs)
 
 
+def reachable(space: PrecubicalSet, seeds: Iterable[Cell]) -> set[Cell]:
+    """The vertices that some edge path from one of ``seeds`` ends at."""
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        for e in space.out_edges(stack.pop()):
+            nxt = space.face(e, 1, 1)
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
 def reachability_preorder(space: PrecubicalSet) -> Preorder:
     """(x, y) related iff some edge path runs from x to y."""
     pairs: set[tuple[Cell, Cell]] = set()
     for start in space.vertices:
-        seen = {start}
-        stack = [start]
-        while stack:
-            at = stack.pop()
-            for e in space.out_edges(at):
-                nxt = space.face(e, 1, 1)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        pairs.update((start, v) for v in seen)
+        pairs.update((start, v) for v in reachable(space, [start]))
     return Preorder(frozenset(space.vertices), frozenset(pairs))
 
 

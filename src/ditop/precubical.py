@@ -63,7 +63,7 @@ class PrecubicalSet:
     complex); semantic soundness is the business of :func:`validate`.
     """
 
-    __slots__ = ("_cells", "_members", "_faces", "_out", "_in")
+    __slots__ = ("_cells", "_members", "_faces", "_out", "_in", "_rooted")
 
     def __init__(
         self,
@@ -88,6 +88,7 @@ class PrecubicalSet:
         self._faces = dict(faces)
         self._out: dict[Cell, tuple[Cell, ...]] | None = None
         self._in: dict[Cell, tuple[Cell, ...]] | None = None
+        self._rooted: dict[int, dict[Cell, tuple[Cell, ...]]] = {}
 
     @classmethod
     def empty(cls) -> "PrecubicalSet":
@@ -172,10 +173,23 @@ class PrecubicalSet:
             c = self.face(c, 1, 0)
         return c
 
-    def max_corner(self, c: Cell) -> Cell:
-        while c.dim > 0:
-            c = self.face(c, 1, 1)
-        return c
+    def rooted(self, v: Cell, dim: int) -> tuple[Cell, ...]:
+        """The cells of dimension ``dim`` whose minimal corner is ``v``, sorted.
+
+        Dimension 1 is the out-edge table.  Each other dimension is
+        grouped by minimal corner on its first request and kept.
+        """
+        if dim == 1:
+            return self.out_edges(v)
+        if v.dim != 0 or v not in self._members:
+            raise InputError(f"{v.key!r} is not a vertex of the complex")
+        table = self._rooted.get(dim)
+        if table is None:
+            groups: dict[Cell, list[Cell]] = {}
+            for c in self.cells(dim):
+                groups.setdefault(self.min_corner(c), []).append(c)
+            table = self._rooted[dim] = {u: tuple(cs) for u, cs in groups.items()}
+        return table.get(v, ())
 
     def corner_edge(self, c: Cell, direction: int) -> Cell:
         """The edge leaving the minimal corner of ``c`` along ``direction``.
@@ -192,12 +206,6 @@ class PrecubicalSet:
             if j < pos:
                 pos -= 1
         return c
-
-    def with_face(self, c: Cell, direction: int, sign: int, target: Cell) -> "PrecubicalSet":
-        """Copy of the complex with one face entry redirected (for mutation tests)."""
-        faces = dict(self._faces)
-        faces[(c, direction, sign)] = target
-        return PrecubicalSet(self._cells, faces)
 
     def __eq__(self, other) -> bool:
         return (

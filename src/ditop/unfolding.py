@@ -83,54 +83,36 @@ def unfold(space: PrecubicalSet, x0: Cell, depth: int) -> Unfolding:
         canon.append(EdgePath(x0, canon[u].edges + (e,)))
     complete = all(not space.out_edges(ends[u]) for u in r.stages[-1])
 
-    # assemble the total complex
-    def state_cell(i: int) -> Cell:
-        return Cell(0, f"s{i}")
+    # assemble the total complex: state t is the vertex s{t}, and each
+    # n-cell c of X rooted at its end lifts to s{t}|{c} within the depth
+    vertices = [Cell(0, f"s{t}") for t in range(len(canon))]
 
-    cells: dict[int, list[Cell]] = {0: [state_cell(i) for i in range(len(canon))]}
+    def lifted(t: int, c: Cell) -> Cell:
+        return Cell(c.dim, f"s{t}|{c.key}") if c.dim else vertices[t]
+
+    cells: dict[int, list[Cell]] = {0: vertices}
     faces: dict[tuple[Cell, int, int], Cell] = {}
-    proj: dict[Cell, Cell] = {state_cell(i): ends[i] for i in range(len(canon))}
-
-    for (u, e), tgt in sorted(ext.items(), key=lambda kv: (kv[0][0], kv[0][1].key)):
-        ec = Cell(1, f"s{u}|{e.key}")
-        cells.setdefault(1, []).append(ec)
-        faces[(ec, 1, 0)] = state_cell(u)
-        faces[(ec, 1, 1)] = state_cell(tgt)
-        proj[ec] = e
-
-    rooted: dict[int, dict[Cell, list[Cell]]] = {}
-    for dim in space.dims():
-        if dim < 2:
-            continue
-        per_corner: dict[Cell, list[Cell]] = {}
-        for c in space.cells(dim):
-            per_corner.setdefault(space.min_corner(c), []).append(c)
-        for group in per_corner.values():
-            group.sort()
-        rooted[dim] = per_corner
-
-    for dim in sorted(rooted):
+    proj: dict[Cell, Cell] = dict(zip(vertices, ends))
+    for dim in range(1, space.dimension + 1):
         for t, path in enumerate(canon):
             if path.length + dim > depth:
                 continue
-            for c in rooted[dim].get(ends[t], ()):
-                cc = Cell(dim, f"s{t}|{c.key}")
+            for c in space.rooted(ends[t], dim):
+                cc = lifted(t, c)
                 cells.setdefault(dim, []).append(cc)
                 proj[cc] = c
                 for i in range(1, dim + 1):
-                    lower = space.face(c, i, 0)
-                    faces[(cc, i, 0)] = Cell(dim - 1, f"s{t}|{lower.key}")
+                    faces[(cc, i, 0)] = lifted(t, space.face(c, i, 0))
                     advanced = ext[(t, space.corner_edge(c, i))]
-                    upper = space.face(c, i, 1)
-                    faces[(cc, i, 1)] = Cell(dim - 1, f"s{advanced}|{upper.key}")
+                    faces[(cc, i, 1)] = lifted(advanced, space.face(c, i, 1))
 
     total = PrecubicalSet(cells, faces)
     projection = PcMorphism(total, space, proj)
     states = {
-        state_cell(i): DihomotopyClass((x0, ends[i]), canon[i], count=r.counts[i])
-        for i in range(len(canon))
+        v: DihomotopyClass((x0, ends[t]), canon[t], count=r.counts[t])
+        for t, v in enumerate(vertices)
     }
-    return Unfolding(total, projection, states, complete, depth, state_cell(0))
+    return Unfolding(total, projection, states, complete, depth, vertices[0])
 
 
 class InitialFactorization(NamedTuple):
@@ -207,21 +189,24 @@ def universal_property_suite(
 ) -> SuiteReport:
     """Check the unfolding's projection against a catalog of morphisms.
 
-    Every catalog entry targeting the base is first screened with the
+    Every catalog entry must target the base, which is checked before
+    the unfolding is built.  Each entry is first screened with the
     basepointed dicovering check; failures are skipped (with their
     witness).  For each passing entry and each of its basepoint lifts, a
     unique factorization of the unfolding through the entry must exist.
     Resource-limit errors are recorded per basepoint without aborting
     the suite.
     """
-    if labels is not None and len(labels) != len(catalog):
+    if labels is None:
+        labels = [f"entry{idx}" for idx in range(len(catalog))]
+    elif len(labels) != len(catalog):
         raise InputError("labels must match the catalog one to one")
-    u = unfold(space, x0, depth)
-    entries: list[CatalogEntryReport] = []
-    for idx, p in enumerate(catalog):
-        label = labels[idx] if labels is not None else f"entry{idx}"
+    for label, p in zip(labels, catalog):
         if p.target != space:
             raise InputError(f"catalog entry {label!r} does not target the base complex")
+    u = unfold(space, x0, depth)
+    entries: list[CatalogEntryReport] = []
+    for label, p in zip(labels, catalog):
         verdict = check_dicovering(p, basepoint=x0)
         if not verdict:
             entries.append(CatalogEntryReport(label, verdict, skipped=True))

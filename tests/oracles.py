@@ -5,9 +5,11 @@ code paths it is used to check: path enumeration by plain recursion
 over a locally built adjacency table, reachability by boolean-matrix
 closure, move neighbors by scanning every square, class partitions by
 union-find, longer paths by enumerating past the length bound, whole-path
-lifts by exhaustive enumeration upstairs,
-factorizations through a projection by backtracking search over its
-fibres, and isomorphisms by backtracking over cells.
+lifts by exhaustive enumeration upstairs, cell lifts by counting every
+upstairs cell at its hand-walked minimal corner, factorizations through
+a projection by backtracking search over its fibres, and isomorphisms
+by backtracking over cells.  Complex surgery that only tests need, such
+as redirecting one face entry, lives here too.
 """
 
 from __future__ import annotations
@@ -30,6 +32,73 @@ def out_table(space):
     for pairs in table.values():
         pairs.sort()
     return table
+
+
+def with_face(space, c, direction, sign, target):
+    """Copy of the complex with one face entry redirected (for mutation tests)."""
+    faces = dict(space.face_items())
+    faces[(c, direction, sign)] = target
+    return PrecubicalSet({dim: space.cells(dim) for dim in space.dims()}, faces)
+
+
+def min_corner(space, c):
+    """The vertex reached by walking every direction to its 0 side."""
+    while c.dim:
+        c = space.face(c, 1, 0)
+    return c
+
+
+def max_corner(space, c):
+    """The vertex reached by walking every direction to its 1 side."""
+    while c.dim:
+        c = space.face(c, 1, 1)
+    return c
+
+
+def rooted_table(space):
+    """(vertex, dim) -> sorted cells of that dimension with that minimal corner."""
+    table = {}
+    for c in space.all_cells():
+        if c.dim:
+            table.setdefault((min_corner(space, c), c.dim), []).append(c)
+    return {key: sorted(cs) for key, cs in table.items()}
+
+
+def cover_verdict(p, basepoint=None):
+    """The dicovering verdict, by counting lifts over every upstairs cell.
+
+    Returns ``None`` for a dicovering, else the first failure as
+    ``(kind, base cell, upstairs vertex, lift count)``: edges before
+    higher cells, upstairs vertices in order, base cells by (dim, key).
+    With a basepoint only the vertices reachable from its fibre count.
+    """
+    X, Y = p.target, p.source
+    relevant = sorted(Y.vertices)
+    if basepoint is not None:
+        table = out_table(Y)
+        seen = {y for y in Y.vertices if p.mapping[y] == basepoint}
+        stack = list(seen)
+        while stack:
+            for _, nxt in table[stack.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        relevant = sorted(seen)
+    counts = {}
+    for cy in Y.all_cells():
+        if cy.dim:
+            key = (min_corner(Y, cy), p.mapping[cy])
+            counts[key] = counts.get(key, 0) + 1
+    base = rooted_table(X)
+    higher = sorted({c.dim for c in X.all_cells() if c.dim >= 2})
+    for kind, dims in (("edge", [1]), ("cell", higher)):
+        for y in relevant:
+            for dim in dims:
+                for c in base.get((p.mapping[y], dim), []):
+                    count = counts.get((y, c), 0)
+                    if count != 1:
+                        return kind, c, y, count
+    return None
 
 
 def dfs_paths(space, a, b, max_len):

@@ -8,6 +8,7 @@ from ditop.cli import canonical_json, main
 from ditop.dicovering import cylinder_projection
 from ditop.precubical import complex_to_data, morphism_to_data
 
+import oracles
 from conftest import SWISS_PV
 
 
@@ -51,7 +52,7 @@ class TestValidateVerb:
         assert json.loads(out) == {"valid": True, "violations": []}
 
     def test_broken(self, run, tmp_path):
-        broken = standard_cube(3).with_face(Cell(3, "***"), 1, 0, Cell(2, "1**"))
+        broken = oracles.with_face(standard_cube(3), Cell(3, "***"), 1, 0, Cell(2, "1**"))
         path = tmp_path / "broken.json"
         path.write_text(canonical_json(complex_to_data(broken)))
         code, out, _ = run("validate", str(path))
@@ -226,12 +227,18 @@ class TestCoverVerbs:
         ]
         assert data["entries"][1]["skipped"] is True
 
-    def test_universal_against_wrong_base(self, run, swiss_file, tmp_path):
+    def test_universal_against_wrong_base(self, run, swiss_file, tmp_path, monkeypatch):
         other = tmp_path / "other.json"
         other.write_text(canonical_json(morphism_to_data(fold_map(grid(2, 2), 2))) + "\n")
-        code, _, _ = run("universal", swiss_file, "--base", "c00",
-                         "--against", str(other))
-        assert code == 2
+
+        def no_unfold(*args, **kwargs):
+            raise AssertionError("unfolded before the catalog was checked")
+
+        monkeypatch.setattr("ditop.unfolding.unfold", no_unfold)
+        code, out, err = run("universal", swiss_file, "--base", "c00",
+                             "--against", str(other))
+        assert code == 2 and out == ""
+        assert err == f"ditop: catalog entry {str(other)!r} does not target the base complex\n"
 
 
 class TestPvVerb:

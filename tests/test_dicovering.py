@@ -108,6 +108,49 @@ def _partial_cover(space):
     return PcMorphism(sub, space, {c: c for c in sub.all_cells()})
 
 
+def _doubled_square():
+    """Two squares over one square sharing the corner lift: the edge
+    condition holds but the family condition cannot."""
+    base = grid(1, 1)
+    double = grid(1, 1, holes={(0, 0)})
+    up_cells = {d: list(double.cells(d)) for d in double.dims()}
+    up_faces = dict(double.face_items())
+    for tag in ("A", "B"):
+        s = Cell(2, f"s{tag}")
+        up_cells[2] = up_cells.get(2, []) + [s]
+        up_faces[(s, 1, 0)] = Cell(1, "v00")
+        up_faces[(s, 1, 1)] = Cell(1, "v10")
+        up_faces[(s, 2, 0)] = Cell(1, "h00")
+        up_faces[(s, 2, 1)] = Cell(1, "h01")
+    upstairs = PrecubicalSet(up_cells, up_faces)
+    mapping = {c: c for c in double.all_cells()}
+    mapping[Cell(2, "sA")] = Cell(2, "s00")
+    mapping[Cell(2, "sB")] = Cell(2, "s00")
+    return PcMorphism(upstairs, base, mapping)
+
+
+def _double_cover_missing(space, cells):
+    """Two copies of a complex over it, with ``cells`` removed from the second."""
+    double = fold_map(space, 2)
+    gone = {Cell(c.dim, f"1:{c.key}") for c in cells}
+    up = double.source
+    upstairs = PrecubicalSet(
+        {d: [c for c in up.cells(d) if c not in gone] for d in up.dims()},
+        {key: target for key, target in up.face_items() if key[0] not in gone},
+    )
+    mapping = {c: d for c, d in double.mapping.items() if c not in gone}
+    return PcMorphism(upstairs, space, mapping)
+
+
+def _verdict_tuple(verdict):
+    w = verdict.witness
+    if isinstance(w, EdgeLiftWitness):
+        return "edge", w.edge, w.vertex, w.count
+    if isinstance(w, CellLiftWitness):
+        return "cell", w.cell, w.corner, w.count
+    return None
+
+
 class TestCheckDicovering:
     def test_identity(self, corpus):
         for name, space in corpus:
@@ -136,29 +179,47 @@ class TestCheckDicovering:
         assert data["witness"]["kind"] == "edge" and data["witness"]["count"] == 2
 
     def test_square_lift_failure(self):
-        # two squares over one square sharing the corner lift: the edge
-        # condition holds but the family condition cannot.
-        base = grid(1, 1)
-        double = grid(1, 1, holes={(0, 0)})
-        up_cells = {d: list(double.cells(d)) for d in double.dims()}
-        up_faces = dict(double.face_items())
-        for tag in ("A", "B"):
-            s = Cell(2, f"s{tag}")
-            up_cells[2] = up_cells.get(2, []) + [s]
-            up_faces[(s, 1, 0)] = Cell(1, "v00")
-            up_faces[(s, 1, 1)] = Cell(1, "v10")
-            up_faces[(s, 2, 0)] = Cell(1, "h00")
-            up_faces[(s, 2, 1)] = Cell(1, "h01")
-        upstairs = PrecubicalSet(up_cells, up_faces)
-        mapping = {c: c for c in double.all_cells()}
-        mapping[Cell(2, "sA")] = Cell(2, "s00")
-        mapping[Cell(2, "sB")] = Cell(2, "s00")
-        p = PcMorphism(upstairs, base, mapping)
+        p = _doubled_square()
         assert validate_morphism(p) == []
         verdict = check_dicovering(p)
         assert not verdict and isinstance(verdict.witness, CellLiftWitness)
         assert verdict.witness.count == 2
         assert replay_witness(p, verdict.witness) == 2
+
+    def test_cell_without_lift(self):
+        p = _double_cover_missing(grid(1, 1), [Cell(2, "s00")])
+        assert validate_morphism(p) == []
+        verdict = check_dicovering(p)
+        assert verdict.witness == CellLiftWitness(Cell(2, "s00"), Cell(0, "1:c00"), 0)
+        assert replay_witness(p, verdict.witness) == 0
+        assert check_dicovering(p, basepoint=vertex("c00")).witness == verdict.witness
+        assert check_dicovering(p, basepoint=vertex("c11"))
+
+    def test_lower_dimension_witnessed_first(self):
+        p = _double_cover_missing(standard_cube(3), [Cell(3, "***"), Cell(2, "**0")])
+        assert validate_morphism(p) == []
+        assert check_dicovering(p).witness == CellLiftWitness(Cell(2, "**0"), Cell(0, "1:000"), 0)
+
+    def test_agrees_with_counting_oracle(self, corpus, swiss_grid):
+        cases = []
+        for name, space in corpus:
+            maps = (identity(space), fold_map(space, 2), fold_map(space, 3),
+                    cylinder_projection(space), unfold(space, space.vertices[0], 4).projection)
+            cases.extend((name, p) for p in maps)
+        cases += [
+            ("partial", _partial_cover(swiss_grid)),
+            ("doubled", _doubled_square()),
+            ("missing square", _double_cover_missing(grid(1, 1), [Cell(2, "s00")])),
+            ("missing cube", _double_cover_missing(standard_cube(3), [Cell(3, "***"), Cell(2, "**0")])),
+        ]
+        outcomes = Counter()
+        for name, p in cases:
+            for basepoint in (None, *p.target.vertices):
+                got = _verdict_tuple(check_dicovering(p, basepoint=basepoint))
+                assert got == oracles.cover_verdict(p, basepoint), (name, basepoint)
+                outcomes[got and (got[0], got[3])] += 1
+        # passes, edges with no lift and with two, cells with no lift and with two
+        assert {None, ("edge", 0), ("edge", 2), ("cell", 0), ("cell", 2)} <= set(outcomes)
 
     def test_basepointed_vs_global(self):
         # an unreachable bad vertex is forgiven by the basepointed check

@@ -53,7 +53,7 @@ def mutate_one_face(space, rng):
         if t != original and signature(space, t) != signature(space, original)
     ]
     assert pool, "corpus member too degenerate to mutate"
-    return space.with_face(c, i, a, rng.choice(pool)), c
+    return oracles.with_face(space, c, i, a, rng.choice(pool)), c
 
 
 class TestValidate:
@@ -67,7 +67,7 @@ class TestValidate:
 
     def test_redirected_face_detected(self):
         cube = standard_cube(3)
-        broken = cube.with_face(Cell(3, "***"), 1, 0, Cell(2, "1**"))
+        broken = oracles.with_face(cube, Cell(3, "***"), 1, 0, Cell(2, "1**"))
         report = validate(broken)
         assert any(v.kind == "cubical-identity" and v.cell == Cell(3, "***") for v in report)
 
@@ -79,7 +79,7 @@ class TestValidate:
 
     def test_dangling_face_detected(self):
         arrow = standard_cube(1)
-        broken = arrow.with_face(Cell(1, "*"), 1, 1, Cell(0, "ghost"))
+        broken = oracles.with_face(arrow, Cell(1, "*"), 1, 1, Cell(0, "ghost"))
         assert any(v.kind == "dangling-face" for v in validate(broken))
 
     def test_mutations_detected(self, corpus):
@@ -113,8 +113,25 @@ class TestStandardCube:
     def test_corners(self):
         cube = standard_cube(3)
         assert cube.min_corner(Cell(3, "***")) == Cell(0, "000")
-        assert cube.max_corner(Cell(3, "***")) == Cell(0, "111")
+        assert oracles.max_corner(cube, Cell(3, "***")) == Cell(0, "111")
         assert cube.corner_edge(Cell(3, "***"), 2) == Cell(1, "0*0")
+
+
+class TestRooted:
+    def test_matches_brute_force_grouping(self, corpus):
+        for name, space in corpus:
+            table = oracles.rooted_table(space)
+            for v in space.vertices:
+                assert space.rooted(v, 1) == space.out_edges(v), (name, v)
+                assert space.rooted(v, 0) == (v,), (name, v)
+                for dim in range(1, space.dimension + 2):
+                    assert list(space.rooted(v, dim)) == table.get((v, dim), []), (name, v, dim)
+
+    def test_rejects_non_vertices(self):
+        square = standard_cube(2)
+        for v, dim in [(Cell(0, "ghost"), 1), (Cell(0, "ghost"), 2), (Cell(1, "0*"), 2)]:
+            with pytest.raises(InputError):
+                square.rooted(v, dim)
 
 
 class TestCell:
@@ -341,7 +358,7 @@ class TestSerialization:
         assert again == f
 
     def test_parse_rejects_invalid(self):
-        broken = standard_cube(3).with_face(Cell(3, "***"), 1, 0, Cell(2, "1**"))
+        broken = oracles.with_face(standard_cube(3), Cell(3, "***"), 1, 0, Cell(2, "1**"))
         data = complex_to_data(broken)
         with pytest.raises(InputError):
             complex_from_data(data)

@@ -7,6 +7,9 @@ validation report with violations, a failed cover check, a failed
 universality suite, deadlocks found), 2 malformed input, 3 exhausted
 search budget.  Knobs that shaped a run (depth, budgets, length caps)
 are echoed in the output under ``"meta"``.
+
+Each verb imports the modules it uses when it runs, so one call loads
+and compiles only what its verb needs.
 """
 
 from __future__ import annotations
@@ -16,25 +19,6 @@ import json
 import sys
 
 from .errors import DitopError, InputError, ResourceLimitError
-from . import dihomotopy, dipath, pv
-from .precubical import (
-    Cell,
-    PrecubicalSet,
-    complex_from_data,
-    complex_to_data,
-    load_complex,
-    load_morphism,
-    validate,
-)
-from .dicovering import check_dicovering, verdict_to_data
-from .unfolding import (
-    factor_initial,
-    suite_to_data,
-    unfold,
-    unfolding_to_data,
-    universal_property_suite,
-)
-from .precubical import morphism_to_data, _load_json
 
 DEFAULT_DEPTH = 16
 DEFAULT_BUDGET = 1_000_000
@@ -49,7 +33,9 @@ def _emit(data) -> None:
     sys.stdout.write(canonical_json(data) + "\n")
 
 
-def _vertex(space: PrecubicalSet, key: str) -> Cell:
+def _vertex(space, key: str):
+    from .precubical import Cell
+
     v = Cell(0, key)
     if v not in space:
         raise InputError(f"{key!r} is not a vertex of the complex")
@@ -57,6 +43,8 @@ def _vertex(space: PrecubicalSet, key: str) -> Cell:
 
 
 def _cmd_validate(args) -> int:
+    from .precubical import _load_json, complex_from_data, validate
+
     space = complex_from_data(_load_json(args.file), check=False)
     report = validate(space)
     _emit({
@@ -70,6 +58,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_paths(args) -> int:
+    from . import dipath
+    from .precubical import load_complex
+
     space = load_complex(args.file)
     a, b = _vertex(space, args.src), _vertex(space, args.dst)
     found = dipath.enumerate_paths(space, a, b, args.max_len)
@@ -84,6 +75,9 @@ def _cmd_paths(args) -> int:
 
 
 def _cmd_classes(args) -> int:
+    from . import dihomotopy, dipath
+    from .precubical import load_complex
+
     space = load_complex(args.file)
     a, b = _vertex(space, args.src), _vertex(space, args.dst)
     class_list = dihomotopy.classes(space, a, b, args.max_len, budget=args.budget)
@@ -98,12 +92,18 @@ def _cmd_classes(args) -> int:
 
 
 def _cmd_preorder(args) -> int:
+    from . import dipath
+    from .precubical import load_complex
+
     space = load_complex(args.file)
     _emit(dipath.preorder_to_data(dipath.reachability_preorder(space)))
     return 0
 
 
 def _cmd_unfold(args) -> int:
+    from .precubical import load_complex
+    from .unfolding import unfold, unfolding_to_data
+
     space = load_complex(args.file)
     x0 = _vertex(space, args.base)
     u = unfold(space, x0, args.depth)
@@ -118,6 +118,9 @@ def _cmd_unfold(args) -> int:
 
 
 def _cmd_check_cover(args) -> int:
+    from .dicovering import check_dicovering, verdict_to_data
+    from .precubical import load_morphism
+
     projection = load_morphism(args.file)
     basepoint = None
     if args.base is not None:
@@ -130,6 +133,9 @@ def _cmd_check_cover(args) -> int:
 
 
 def _cmd_universal(args) -> int:
+    from .precubical import load_complex, load_morphism
+    from .unfolding import suite_to_data, universal_property_suite
+
     space = load_complex(args.file)
     x0 = _vertex(space, args.base)
     catalog = [load_morphism(path) for path in args.against]
@@ -146,11 +152,16 @@ def _cmd_universal(args) -> int:
 
 
 def _cmd_pv_compile(args) -> int:
+    from . import pv
+    from .precubical import complex_to_data
+
     try:
         with open(args.file, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {args.file}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{args.file} is not UTF-8 text: {exc}") from None
     program = pv.parse(text)
     compiled = pv.build_complex(program)
     data = complex_to_data(compiled.space)
@@ -170,6 +181,9 @@ def _cmd_pv_compile(args) -> int:
 
 
 def _cmd_factor_initial(args) -> int:
+    from .precubical import complex_to_data, load_complex, morphism_to_data
+    from .unfolding import factor_initial
+
     space = load_complex(args.file)
     left, right = factor_initial(space)
     _emit({

@@ -29,8 +29,9 @@ which is the basepointed flavour of the definition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
+from ._frozen import Frozen, set_field
 from .errors import (
     AmbiguousFactorizationError,
     AmbiguousLiftError,
@@ -50,8 +51,7 @@ from .precubical import (
 )
 
 
-@dataclass(frozen=True)
-class LiftProblem:
+class LiftProblem(NamedTuple):
     """A projection, a base path, and a chosen start vertex upstairs."""
 
     projection: PcMorphism
@@ -59,24 +59,38 @@ class LiftProblem:
     start_lift: Cell
 
 
-@dataclass(frozen=True)
-class EdgeLiftWitness:
-    edge: Cell
-    vertex: Cell
-    count: int
+class EdgeLiftWitness(Frozen):
+    """``count`` edges over ``edge`` leave ``vertex``; unique lifting needs one."""
+
+    __slots__ = ("edge", "vertex", "count")
+
+    def __init__(self, edge: Cell, vertex: Cell, count: int):
+        set_field(self, "edge", edge)
+        set_field(self, "vertex", vertex)
+        set_field(self, "count", count)
 
 
-@dataclass(frozen=True)
-class CellLiftWitness:
-    cell: Cell
-    corner: Cell
-    count: int
+class CellLiftWitness(Frozen):
+    """``count`` cells over ``cell`` have minimal corner ``corner``; lifting needs one."""
+
+    __slots__ = ("cell", "corner", "count")
+
+    def __init__(self, cell: Cell, corner: Cell, count: int):
+        set_field(self, "cell", cell)
+        set_field(self, "corner", corner)
+        set_field(self, "count", count)
 
 
-@dataclass(frozen=True)
-class DicoveringVerdict:
-    is_dicovering: bool
-    witness: EdgeLiftWitness | CellLiftWitness | None = None
+class DicoveringVerdict(Frozen):
+    """The answer of :func:`check_dicovering`, false with a witness on failure."""
+
+    __slots__ = ("is_dicovering", "witness")
+
+    def __init__(
+        self, is_dicovering: bool, witness: EdgeLiftWitness | CellLiftWitness | None = None
+    ):
+        set_field(self, "is_dicovering", is_dicovering)
+        set_field(self, "witness", witness)
 
     def __bool__(self) -> bool:
         return self.is_dicovering

@@ -23,9 +23,9 @@ dicovering on it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
+from ._frozen import Frozen, set_field
 from .errors import InputError, InvalidPathError, ResourceLimitError
 from .dipath import EdgePath, check_path, check_query, distances_to
 from .precubical import Cell, PrecubicalSet, _UnionFind
@@ -36,8 +36,7 @@ LEFT_TOP = "left-top"
 DEFAULT_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
-class ElementaryMove:
+class ElementaryMove(NamedTuple):
     """Replace one monotone boundary word of ``square`` by the other.
 
     ``orientation`` names the word being replaced; ``position`` is the
@@ -49,25 +48,32 @@ class ElementaryMove:
     orientation: str
 
 
-@dataclass(frozen=True)
-class MoveWitness:
+class MoveWitness(NamedTuple):
     """A replayable move sequence connecting two dihomotopic paths."""
 
     moves: tuple[ElementaryMove, ...]
 
 
-@dataclass(frozen=True)
-class DihomotopyClass:
+class DihomotopyClass(Frozen):
     """A dihomotopy class: its endpoints, its least path, and its size.
 
     ``members`` lists the paths when they were materialized; otherwise
     ``count`` gives their number.
     """
 
-    endpoints: tuple[Cell, Cell]
-    canonical: EdgePath
-    members: tuple[EdgePath, ...] | None = None
-    count: int | None = None
+    __slots__ = ("endpoints", "canonical", "members", "count")
+
+    def __init__(
+        self,
+        endpoints: tuple[Cell, Cell],
+        canonical: EdgePath,
+        members: tuple[EdgePath, ...] | None = None,
+        count: int | None = None,
+    ):
+        set_field(self, "endpoints", endpoints)
+        set_field(self, "canonical", canonical)
+        set_field(self, "members", members)
+        set_field(self, "count", count)
 
     @property
     def size(self) -> int:

@@ -15,25 +15,25 @@ finer path structure is worth keeping.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
+from ._frozen import Frozen, set_field
 from .errors import EndpointMismatchError, InputError, InvalidPathError
 from .precubical import Cell, PrecubicalSet
 
 
-@dataclass(frozen=True)
-class EdgePath:
+class EdgePath(Frozen):
     """A start vertex and a tuple of composable edges (possibly empty)."""
 
-    start: Cell
-    edges: tuple[Cell, ...] = ()
+    __slots__ = ("start", "edges")
 
-    def __post_init__(self):
-        if self.start.dim != 0:
-            raise InvalidPathError(f"path start {self.start.key!r} is not a vertex")
-        if any(e.dim != 1 for e in self.edges):
+    def __init__(self, start: Cell, edges: tuple[Cell, ...] = ()):
+        if start.dim != 0:
+            raise InvalidPathError(f"path start {start.key!r} is not a vertex")
+        if any(e.dim != 1 for e in edges):
             raise InvalidPathError("path edges must be 1-cells")
+        set_field(self, "start", start)
+        set_field(self, "edges", edges)
 
     @property
     def length(self) -> int:
@@ -187,8 +187,7 @@ def longer_path_exists(space: PrecubicalSet, a: Cell, b: Cell, max_len: int) -> 
     return ordered < len(between) or longest[b] > max_len
 
 
-@dataclass(frozen=True)
-class Preorder:
+class Preorder(NamedTuple):
     """A reflexive, transitive relation on a finite vertex set."""
 
     carrier: frozenset[Cell]

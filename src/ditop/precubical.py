@@ -21,9 +21,8 @@ operation assumes its input has a clean report.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import os
 from itertools import product as _product
-from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import InputError
@@ -221,8 +220,7 @@ class PrecubicalSet:
         return f"<PrecubicalSet {counts or 'empty'}>"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One broken invariant, naming the offending cell and face indices."""
 
     kind: str
@@ -682,16 +680,33 @@ def morphism_to_data(f: PcMorphism) -> dict:
     }
 
 
-def _resolve_complex_field(field, base_dir: Path | None, check: bool) -> PrecubicalSet:
+def _pure_path(path: str) -> str:
+    """``path`` spelled as ``pathlib`` spells it on POSIX.
+
+    Empty and ``.`` parts and a trailing slash go; ``..`` stays, as it
+    does in ``pathlib``, so error messages name the file as before.
+    """
+    if path.startswith("//") and not path.startswith("///"):
+        root = "//"
+    else:
+        root = "/" if path.startswith("/") else ""
+    return root + "/".join(part for part in path.split("/") if part not in ("", ".")) or "."
+
+
+def _resolve_complex_field(field, base_dir, check: bool) -> PrecubicalSet:
     if isinstance(field, str):
-        path = Path(field)
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
-        return load_complex(path, check=check)
+        if base_dir is not None and not os.path.isabs(field):
+            field = os.path.join(base_dir, field)
+        return load_complex(_pure_path(field), check=check)
     return complex_from_data(field, check=check)
 
 
-def morphism_from_data(data, base_dir: Path | None = None, check: bool = True) -> PcMorphism:
+def morphism_from_data(data, base_dir=None, check: bool = True) -> PcMorphism:
+    """Build a morphism from its JSON form.
+
+    A ``source`` or ``target`` given as a string is a complex file; a
+    relative one is read from ``base_dir`` when that is given.
+    """
     if not isinstance(data, dict) or not {"source", "target", "map"} <= set(data):
         raise InputError("morphism JSON needs 'source', 'target' and 'map' fields")
     if not isinstance(data["map"], dict):
@@ -724,8 +739,12 @@ def _load_json(path) -> object:
             return json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InputError(f"{path} nests too deeply to parse") from None
 
 
 def load_complex(path, check: bool = True) -> PrecubicalSet:
@@ -733,4 +752,4 @@ def load_complex(path, check: bool = True) -> PrecubicalSet:
 
 
 def load_morphism(path, check: bool = True) -> PcMorphism:
-    return morphism_from_data(_load_json(path), base_dir=Path(path).parent, check=check)
+    return morphism_from_data(_load_json(path), base_dir=os.path.dirname(path), check=check)

@@ -27,33 +27,39 @@ well as top-dimensional cells.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from itertools import product as _product
 from typing import NamedTuple
 
+from ._frozen import Frozen, set_field
 from .errors import InputError, PvSemanticError, PvSyntaxError
 from .precubical import Cell, FaceKey, PrecubicalSet
 
 
-@dataclass(frozen=True)
-class PvAction:
-    kind: str  # "P" or "V"
-    resource: str
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+class PvAction(Frozen):
+    """One P or V action; ``line`` and ``col`` locate it but take no part in equality."""
+
+    __slots__ = ("kind", "resource", "line", "col")
+    _compared = ("kind", "resource")
+
+    def __init__(self, kind: str, resource: str, line: int = 0, col: int = 0):
+        set_field(self, "kind", kind)  # "P" or "V"
+        set_field(self, "resource", resource)
+        set_field(self, "line", line)
+        set_field(self, "col", col)
 
 
-@dataclass
-class PvProgram:
+class PvProgram(NamedTuple):
     resources: dict[str, int]
     processes: list[list[PvAction]]
 
 
-@dataclass(frozen=True)
-class ForbiddenRegion:
+class ForbiddenRegion(Frozen):
     """The removed grid cells, as per-process (position, extent) spans."""
 
-    cells: frozenset[tuple[tuple[int, int], ...]]
+    __slots__ = ("cells",)
+
+    def __init__(self, cells: frozenset[tuple[tuple[int, int], ...]]):
+        set_field(self, "cells", cells)
 
     def __contains__(self, multi_index) -> bool:
         return tuple(multi_index) in self.cells

@@ -34,16 +34,9 @@ basepointed unfolding is the construction with content.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .errors import AmbiguousFactorizationError, InputError, ResourceLimitError
-from .dicovering import (
-    DicoveringVerdict,
-    check_dicovering,
-    universality_check,
-    verdict_to_data,
-)
 from .dihomotopy import DihomotopyClass, reflect
 from .dipath import EdgePath, path_to_data
 from .precubical import (
@@ -54,9 +47,11 @@ from .precubical import (
     morphism_to_data,
 )
 
+if TYPE_CHECKING:
+    from .dicovering import DicoveringVerdict
 
-@dataclass(frozen=True)
-class Unfolding:
+
+class Unfolding(NamedTuple):
     total: PrecubicalSet
     projection: PcMorphism
     states: Mapping[Cell, DihomotopyClass]
@@ -137,8 +132,7 @@ def factor_initial(space: PrecubicalSet) -> InitialFactorization:
     )
 
 
-@dataclass(frozen=True)
-class BasepointLiftReport:
+class BasepointLiftReport(NamedTuple):
     lift: Cell
     exists: bool
     unique: bool
@@ -149,8 +143,7 @@ class BasepointLiftReport:
         return self.exists and self.unique and self.error is None
 
 
-@dataclass(frozen=True)
-class CatalogEntryReport:
+class CatalogEntryReport(NamedTuple):
     label: str
     verdict: DicoveringVerdict
     skipped: bool
@@ -161,8 +154,7 @@ class CatalogEntryReport:
         return self.skipped or all(report.passed for report in self.lifts)
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     unfolding: Unfolding
     entries: tuple[CatalogEntryReport, ...]
 
@@ -197,6 +189,9 @@ def universal_property_suite(
     Resource-limit errors are recorded per basepoint without aborting
     the suite.
     """
+    # the cover check loads here, so that unfolding alone does not compile it
+    from .dicovering import check_dicovering, universality_check
+
     if labels is None:
         labels = [f"entry{idx}" for idx in range(len(catalog))]
     elif len(labels) != len(catalog):
@@ -246,6 +241,8 @@ def unfolding_to_data(u: Unfolding) -> dict:
 
 
 def suite_to_data(report: SuiteReport) -> dict:
+    from .dicovering import verdict_to_data
+
     u = report.unfolding
     entries = []
     for entry in report.entries:

@@ -90,6 +90,39 @@ class TestMalformedInput:
         assert "Traceback" not in err
 
 
+class TestUndecodableInput:
+    """Files that break the JSON decoder itself are input errors too."""
+
+    CASES = {
+        "deep": b"[" * 200_000,
+        "utf16": b"\xff\xfe{\x00}\x00",
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_validate_exits_2(self, run, tmp_path, case):
+        path = tmp_path / "bad.json"
+        path.write_bytes(self.CASES[case])
+        code, out, err = run("validate", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"ditop: {path}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_relative_morphism_source_exits_2(self, run, tmp_path, case):
+        (tmp_path / "bad.json").write_bytes(self.CASES[case])
+        proj = tmp_path / "proj.json"
+        proj.write_text(json.dumps({"source": "bad.json", "target": "bad.json", "map": {}}))
+        code, out, err = run("check-cover", str(proj))
+        assert code == 2 and out == ""
+        assert err.startswith(f"ditop: {tmp_path / 'bad.json'}") and err.count("\n") == 1
+
+    def test_pv_source_that_is_not_utf8_exits_2(self, run, tmp_path):
+        path = tmp_path / "bad.pv"
+        path.write_bytes(self.CASES["utf16"])
+        code, out, err = run("pv", "compile", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"ditop: {path}") and err.count("\n") == 1
+
+
 class TestPathVerbs:
     def test_paths(self, run, swiss_file):
         code, out, _ = run("paths", swiss_file, "--from", "c00", "--to", "c33", "--max-len", "6")

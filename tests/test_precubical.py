@@ -1,6 +1,9 @@
+import json
 import random
+from pathlib import PurePosixPath
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ditop import (
     Cell,
@@ -17,6 +20,7 @@ from ditop import (
     fold_map,
     grid,
     identity,
+    load_morphism,
     morphism_from_data,
     morphism_to_data,
     pushout,
@@ -26,7 +30,7 @@ from ditop import (
     validate_morphism,
     vertex,
 )
-from ditop.precubical import PcMorphism, PrecubicalSet
+from ditop.precubical import PcMorphism, PrecubicalSet, _pure_path
 
 import oracles
 
@@ -368,3 +372,54 @@ class TestSerialization:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(InputError):
             complex_from_data({"cells": {"0": ["v", "v"]}, "faces": {}})
+
+
+class TestRelativeComplexFiles:
+    """A morphism file names its complexes relative to its own directory."""
+
+    @pytest.fixture
+    def tree(self, tmp_path, monkeypatch):
+        (tmp_path / "maps" / "cx").mkdir(parents=True)
+        (tmp_path / "elsewhere").mkdir()
+        (tmp_path / "maps" / "cx" / "swiss.json").write_text(
+            json.dumps(complex_to_data(grid(3, 3, holes={(1, 1)})))
+        )
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        return tmp_path
+
+    def write_map(self, tree, source, target="cx/swiss.json"):
+        space = grid(3, 3, holes={(1, 1)})
+        path = tree / "maps" / "map.json"
+        path.write_text(json.dumps({
+            "source": source, "target": target,
+            "map": {c.key: c.key for c in space.all_cells()},
+        }))
+        return path
+
+    @pytest.mark.parametrize("source", [
+        "cx/swiss.json", "./cx/swiss.json", "cx//swiss.json", "cx/./swiss.json/",
+        "../maps/cx/swiss.json",
+    ])
+    def test_loads_from_another_working_directory(self, tree, source):
+        self.write_map(tree, source)
+        f = load_morphism("../maps/map.json")
+        assert f == identity(grid(3, 3, holes={(1, 1)}))
+        assert load_morphism(tree / "maps" / "map.json") == f
+
+    def test_absolute_source_ignores_the_directory(self, tree):
+        self.write_map(tree, str(tree / "maps" / "cx" / "swiss.json"))
+        assert load_morphism("../maps/map.json").source == grid(3, 3, holes={(1, 1)})
+
+    def test_missing_source_names_the_normalised_path(self, tree):
+        self.write_map(tree, "./nope//gone.json")
+        with pytest.raises(InputError) as info:
+            load_morphism("../maps/map.json")
+        spelled = "../maps/nope/gone.json"
+        assert str(info.value).startswith(f"cannot read {spelled}: ")
+        assert str(info.value).endswith(f": {spelled!r}")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.text(alphabet="/.a", max_size=12))
+def test_paths_are_spelled_as_pathlib_spells_them(path):
+    assert _pure_path(path) == str(PurePosixPath(path))

@@ -1,8 +1,16 @@
 """Guards on the package itself rather than on its behaviour."""
 
 import ast
+import importlib
+import json
+import os
+import shutil
+import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+
+import pytest
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "ditop"
 
@@ -21,3 +29,189 @@ def test_runtime_imports_only_the_standard_library():
             for name in names:
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names, f"{path.name} imports {name}"
+
+
+def test_cli_imports_only_the_standard_library_and_errors_at_module_level():
+    # each verb imports its own modules inside its handler
+    path = SOURCE / "cli.py"
+    for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        elif isinstance(node, ast.ImportFrom):
+            assert (node.level, node.module) == (1, "errors"), ast.unparse(node)
+            continue
+        else:
+            continue
+        for name in names:
+            assert name == "__future__" or name.split(".")[0] in sys.stdlib_module_names, name
+
+
+# every public name of the package; dropping one is an API change
+PUBLIC_API = [
+    "AmbiguousFactorizationError", "AmbiguousLiftError", "BOTTOM_RIGHT", "Cell",
+    "CellLiftWitness", "ChainColimit", "Codiagonal", "Coproduct", "DicoveringVerdict",
+    "DihomotopyClass", "DitopError", "EdgeLiftWitness", "EdgePath", "ElementaryMove",
+    "EndpointMismatchError", "InitialFactorization", "InputError", "InvalidPathError",
+    "LEFT_TOP", "LiftError", "LiftProblem", "MoveWitness", "NoLiftError", "PcMorphism",
+    "PrecubicalSet", "Preorder", "Pushout", "PvSemanticError", "PvSyntaxError",
+    "ResourceLimitError", "SuiteReport", "Unfolding", "Violation", "apply_move",
+    "builders", "chain_colimit", "check_dicovering", "check_path", "classes",
+    "classes_to_data", "codiagonal", "complex_from_data", "complex_to_data", "compose",
+    "concat", "coproduct", "cylinder_projection", "dicovering", "dihomotopic",
+    "dihomotopy", "dipath", "directed_circle", "directed_cycle", "directed_path",
+    "disjoint_union", "edge", "elementary_moves", "enumerate_paths", "errors",
+    "factor_initial", "fold_map", "grid", "identity", "is_path", "lift_path",
+    "load_complex", "load_morphism", "morphism_from_data", "morphism_to_data",
+    "move_components", "path_end", "path_from_data", "path_to_data", "precubical",
+    "preorder_to_data", "pushout", "pv", "reachability_preorder", "replay_witness",
+    "square_words", "standard_cube", "suite_to_data", "tensor", "unfold", "unfolding",
+    "unfolding_to_data", "universal_property_suite", "universality_check", "validate",
+    "validate_morphism", "verdict_to_data", "vertex",
+]
+
+
+class TestPublicApi:
+    def test_all_is_the_public_api(self):
+        import ditop
+
+        assert len(PUBLIC_API) == 92
+        assert ditop.__all__ == PUBLIC_API
+
+    def test_star_import_binds_every_name_to_its_module_object(self):
+        import ditop
+
+        namespace: dict = {}
+        exec("from ditop import *", namespace)
+        assert set(PUBLIC_API) <= set(namespace)
+        for name in PUBLIC_API:
+            if name in ditop._EXPORTS:
+                assert namespace[name] is importlib.import_module(f"ditop.{name}")
+            else:
+                home = importlib.import_module(f"ditop.{ditop._HOME[name]}")
+                assert namespace[name] is getattr(home, name), name
+
+    def test_dir_lists_every_name(self):
+        import ditop
+
+        assert set(PUBLIC_API) <= set(dir(ditop))
+        assert "__version__" in dir(ditop)
+
+    def test_a_name_is_kept_after_its_first_read(self):
+        import ditop
+
+        vars(ditop).pop("grid", None)
+        grid = ditop.grid
+        assert vars(ditop)["grid"] is grid
+
+    def test_unknown_name_raises_attribute_error(self):
+        import ditop
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            ditop.no_such_name  # noqa: B018
+        assert not hasattr(ditop, "cli_main")
+
+
+# ---------------------------------------------------------------------------
+# which modules a fresh interpreter loads; sets, not timings
+
+FIXTURES = SOURCE.parent.parent / "fixtures"
+
+PROBE = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+{body}
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def newly_loaded(body: str, cwd) -> set[str]:
+    """The modules that running ``body`` in a fresh interpreter adds to a bare one."""
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE.format(body=body)],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout))
+
+
+def run_verb(argv: list[str]) -> str:
+    return (
+        "from ditop.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    main({argv!r})\n"
+    )
+
+
+VERBS = {
+    "validate": ["validate", "tiny.json"],
+    "paths": ["paths", "swiss.json", "--from", "c00", "--to", "c33"],
+    "classes": ["classes", "swiss.json", "--from", "c00", "--to", "c33"],
+    "preorder": ["preorder", "swiss.json"],
+    "unfold": ["unfold", "swiss.json", "--base", "c00", "--depth", "3"],
+    "check-cover": ["check-cover", "fold2_swiss.json"],
+    "universal": ["universal", "swiss.json", "--base", "c00", "--depth", "3",
+                  "--against", "fold2_swiss.json"],
+    "pv": ["pv", "compile", "swiss.pv", "--deadlocks"],
+    "factor-initial": ["factor-initial", "swiss.json"],
+}
+
+
+@pytest.fixture(scope="module")
+def verb_dir(tmp_path_factory):
+    where = tmp_path_factory.mktemp("verbs")
+    for name in ("swiss.json", "fold2_swiss.json", "swiss.pv"):
+        shutil.copy(FIXTURES / name, where / name)
+    (where / "tiny.json").write_text('{"cells": {"0": ["o"]}}\n')
+    return where
+
+
+PROBES = {
+    **{verb: run_verb(argv) for verb, argv in VERBS.items()},
+    "import ditop": "import ditop",
+    "ditop.Cell": "import ditop\nditop.Cell",
+}
+
+
+@pytest.fixture(scope="module")
+def loaded(verb_dir):
+    """What each probe newly loads; a few fresh interpreters run at a time."""
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        found = pool.map(lambda body: newly_loaded(body, verb_dir), PROBES.values())
+        return dict(zip(PROBES, found))
+
+
+def ditop_modules(names: set[str]) -> set[str]:
+    return {name for name in names if name == "ditop" or name.startswith("ditop.")}
+
+
+class TestLazyLoading:
+    def test_import_ditop_loads_no_submodule(self, loaded):
+        assert ditop_modules(loaded["import ditop"]) == {"ditop"}
+
+    def test_a_name_loads_its_module(self, loaded):
+        assert ditop_modules(loaded["ditop.Cell"]) == {
+            "ditop", "ditop.errors", "ditop.precubical",
+        }
+
+    def test_validate_loads_only_the_loader(self, loaded):
+        assert ditop_modules(loaded["validate"]) == {
+            "ditop", "ditop.cli", "ditop.errors", "ditop.precubical",
+        }
+
+    def test_preorder_skips_the_unrelated_layers(self, loaded):
+        assert "ditop.dipath" in loaded["preorder"]
+        for name in ("ditop.pv", "ditop.unfolding", "ditop.dicovering", "ditop.dihomotopy"):
+            assert name not in loaded["preorder"]
+
+    def test_unfold_skips_the_cover_check(self, loaded):
+        assert "ditop.unfolding" in loaded["unfold"]
+        for name in ("ditop.dicovering", "ditop.pv"):
+            assert name not in loaded["unfold"]
+
+    def test_no_verb_loads_dataclasses(self, loaded):
+        for verb in VERBS:
+            assert "ditop.cli" in loaded[verb], verb
+            assert "dataclasses" not in loaded[verb], verb

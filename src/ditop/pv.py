@@ -11,12 +11,21 @@ Each process contributes one directed timeline with one edge per action;
 the program's state space starts from the product grid of the timelines.
 A process holds a resource on the open interval between *completing* its
 P action and *completing* the matching V action (first V matches first
-outstanding P).  A grid cell is forbidden when some point of it has a
-resource held by more processes than its capacity; since holding is a
-per-coordinate condition, that happens exactly when every relevant
-coordinate span meets a holding interval.  Forbidden cells are removed;
-because a face is contained in its cell, the surviving cells always form
-a genuine precubical set.
+outstanding P).  Holders are counted per process: a process that holds
+a resource twice (``Pa.Pa.Va.Va``) counts once.  A grid cell is
+forbidden when some point of it has a resource held by more processes
+than its capacity; since holding is a per-coordinate condition, that
+happens exactly when, for some resource, more of the cell's spans meet
+one of their process's holding intervals than the capacity allows.
+Forbidden cells are removed; because a face is contained in its cell,
+the surviving cells always form a genuine precubical set.
+
+Compilation works from per-axis tables, after Fajstrup, Goubault and
+Raussen's per-process hold intervals: each process's spans, their
+names, and per resource whether the span meets a holding interval are
+computed once.  A grid cell is then decided by summing its spans'
+entries, named by joining theirs, and each face is found by swapping
+one axis's edge span for an end vertex and looking the stored cell up.
 
 Grid cells are named by their per-process spans, e.g. ``"1x2"`` for the
 vertex at positions (1, 2) and ``"1-2x2"`` for the horizontal edge above
@@ -27,7 +36,6 @@ well as top-dimensional cells.
 from __future__ import annotations
 
 import re
-from itertools import product as _product
 from typing import NamedTuple
 
 from ._frozen import Frozen, set_field
@@ -134,7 +142,7 @@ def parse(text: str) -> PvProgram:
 
     resources: dict[str, int] = {}
     processes: list[list[PvAction]] = []
-    while peek()[0] is not None:
+    while True:
         tok, line, col = take()
         if tok == "res":
             rname, rline, rcol = take_name()
@@ -157,6 +165,8 @@ def parse(text: str) -> PvProgram:
         else:
             raise PvSyntaxError(f"expected 'res' or 'proc', found {tok!r}", line, col)
         take(";")
+        if peek()[0] is None:
+            break
 
     program = PvProgram(resources, processes)
     _check_semantics(program)
@@ -234,63 +244,100 @@ def _cell_name(multi_index: tuple[tuple[int, int], ...]) -> str:
     return "x".join(_span_name(span) for span in multi_index)
 
 
-def build_complex(program: PvProgram) -> CompiledProgram:
-    """Compile a program to its state space and the removed region.
+def _axis_tables(program: PvProgram, width: int) -> list[list[tuple]]:
+    """Per process, its spans in index order as (span, name, load).
 
-    The result always validates: forbiddenness is decided pointwise, so
-    removing the forbidden cells can never strand a face.
+    Index k < n + 1 of an axis of n actions is the vertex span (k, 0) and
+    index n + 1 + k the edge span (k, 1).  A span's load holds one
+    ``width``-bit field per resource, set to 1 when the span meets one
+    of the process's hold intervals of that resource: a process that
+    holds a resource twice still counts once.
     """
-    holds = hold_intervals(program)
-    lengths = [len(actions) for actions in program.processes]
-
-    def span_meets(span: tuple[int, int], interval: tuple[int, int]) -> bool:
+    def meets(span: tuple[int, int], interval: tuple[int, int]) -> bool:
         lo, extent = span
         a, b = interval
         if extent:
             return lo < b and lo + 1 > a
         return a < lo < b
 
-    def forbidden(multi_index) -> bool:
-        for resource, capacity in program.resources.items():
-            holders = 0
-            for proc, span in enumerate(multi_index):
-                intervals = holds[proc].get(resource, ())
-                if any(span_meets(span, iv) for iv in intervals):
-                    holders += 1
-            if holders > capacity:
-                return True
-        return False
+    tables = []
+    for actions, holds in zip(program.processes, hold_intervals(program)):
+        n = len(actions)
+        spans = [(k, 0) for k in range(n + 1)] + [(k, 1) for k in range(n)]
+        tables.append([
+            (
+                span,
+                _span_name(span),
+                sum(
+                    1 << (width * r)
+                    for r, resource in enumerate(program.resources)
+                    if any(meets(span, iv) for iv in holds.get(resource, ()))
+                ),
+            )
+            for span in spans
+        ])
+    return tables
 
-    axes = [
-        [(k, 0) for k in range(n + 1)] + [(k, 1) for k in range(n)]
-        for n in lengths
-    ]
+
+def build_complex(program: PvProgram) -> CompiledProgram:
+    """Compile a program to its state space and the removed region.
+
+    The grid is enumerated axis by axis from per-process tables.  A cell's
+    load is the sum of its spans' loads, so each resource's field counts
+    the processes holding it somewhere on the cell.  Each field starts at
+    ``2**(width - 1) - 1 - capacity``, and so reaches its top bit exactly
+    when the holders exceed the capacity.  The result always validates:
+    forbiddenness is decided pointwise, so removing the forbidden cells
+    can never strand a face.
+    """
+    capacities = list(program.resources.values())
+    width = max([len(program.processes), *capacities]).bit_length() + 1
+    top = 1 << (width - 1)
+    start = sum((top - 1 - cap) << (width * r) for r, cap in enumerate(capacities))
+    over = sum(top << (width * r) for r in range(len(capacities)))
+
+    # One entry per grid cell, in product order, so that its position is
+    # its code in the mixed radix of the axis lengths.  An entry is
+    # (spans, span names, load, dim, face offsets): the ends of an edge
+    # span of an axis with n actions sit n + 1 and n indices below it,
+    # so each edge axis, in direction order, gives the two code offsets
+    # of the cell's faces.
+    grid = [((), (), start, 0, ())]
+    stride = 1
+    for axis in reversed(_axis_tables(program, width)):
+        n = len(axis) // 2
+        offsets = ((n + 1) * stride, n * stride)
+        grid = [
+            (
+                (span,) + tail,
+                (name,) + rest,
+                load + tail_load,
+                span[1] + tail_dim,
+                (offsets,) + deltas if span[1] else deltas,
+            )
+            for span, name, load in axis
+            for tail, rest, tail_load, tail_dim, deltas in grid
+        ]
+        stride *= len(axis)
+
+    at: list[Cell | None] = []
     cells: dict[int, list[Cell]] = {}
+    removed = set()
+    for spans, names, load, dim, _ in grid:
+        if load & over:
+            removed.add(spans)
+            at.append(None)
+            continue
+        cell = Cell(dim, "x".join(names))
+        at.append(cell)
+        cells.setdefault(dim, []).append(cell)
     faces: dict[FaceKey, Cell] = {}
-    removed: set[tuple[tuple[int, int], ...]] = set()
-    kept: set[tuple[tuple[int, int], ...]] = set()
-    for multi_index in _product(*axes):
-        if forbidden(multi_index):
-            removed.add(multi_index)
+    for code, cell in enumerate(at):
+        if cell is None:
             continue
-        kept.add(multi_index)
-        dim = sum(extent for _, extent in multi_index)
-        cells.setdefault(dim, []).append(Cell(dim, _cell_name(multi_index)))
-    for multi_index in kept:
-        dim = sum(extent for _, extent in multi_index)
-        if dim == 0:
-            continue
-        cell = Cell(dim, _cell_name(multi_index))
-        direction = 0
-        for axis, (lo, extent) in enumerate(multi_index):
-            if not extent:
-                continue
-            direction += 1
-            for sign in (0, 1):
-                collapsed = list(multi_index)
-                collapsed[axis] = (lo + sign, 0)
-                target = tuple(collapsed)
-                faces[(cell, direction, sign)] = Cell(dim - 1, _cell_name(target))
+        for direction, (low, high) in enumerate(grid[code][4], 1):
+            faces[cell, direction, 0] = at[code - low]
+            faces[cell, direction, 1] = at[code - high]
     return CompiledProgram(PrecubicalSet(cells, faces), ForbiddenRegion(frozenset(removed)))
 
 

@@ -37,8 +37,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .errors import AmbiguousFactorizationError, InputError, ResourceLimitError
-from .dihomotopy import DihomotopyClass, reflect
-from .dipath import EdgePath, path_to_data
 from .precubical import (
     Cell,
     PcMorphism,
@@ -49,6 +47,7 @@ from .precubical import (
 
 if TYPE_CHECKING:
     from .dicovering import DicoveringVerdict
+    from .dihomotopy import DihomotopyClass
 
 
 class Unfolding(NamedTuple):
@@ -66,6 +65,9 @@ class Unfolding(NamedTuple):
 
 def unfold(space: PrecubicalSet, x0: Cell, depth: int) -> Unfolding:
     """Unfold the complex at a base vertex, truncated at ``depth`` edges."""
+    from .dihomotopy import DihomotopyClass, reflect
+    from .dipath import EdgePath
+
     if x0.dim != 0 or x0 not in space:
         raise InputError(f"{x0.key!r} is not a vertex of the complex")
     if depth < 0:
@@ -228,6 +230,8 @@ def universal_property_suite(
 
 
 def unfolding_to_data(u: Unfolding) -> dict:
+    from .dipath import path_to_data
+
     data = complex_to_data(u.total)
     data["projection"] = morphism_to_data(u.projection)
     data["states"] = {

@@ -7,9 +7,10 @@ closure, move neighbors by scanning every square, class partitions by
 union-find, longer paths by enumerating past the length bound, whole-path
 lifts by exhaustive enumeration upstairs, cell lifts by counting every
 upstairs cell at its hand-walked minimal corner, factorizations through
-a projection by backtracking search over its fibres, and isomorphisms
-by backtracking over cells.  Complex surgery that only tests need, such
-as redirecting one face entry, lives here too.
+a projection by backtracking search over its fibres, isomorphisms
+by backtracking over cells, and PV state spaces by testing every grid
+cell against every hold interval.  Complex surgery that only tests
+need, such as redirecting one face entry, lives here too.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from ditop import (
     PrecubicalSet,
     ResourceLimitError,
 )
+from ditop.pv import CompiledProgram, ForbiddenRegion, _cell_name, hold_intervals
 
 
 def out_table(space):
@@ -433,3 +435,65 @@ def is_isomorphic(
     if descend(0):
         return PcMorphism(x, y, assignment)
     return None
+
+
+def naive_build_complex(program) -> CompiledProgram:
+    """A PV program's state space, one grid cell at a time.
+
+    Every grid cell is tested against every resource, process and hold
+    interval, and every cell and face name is built from its spans.
+    """
+    from itertools import product
+
+    holds = hold_intervals(program)
+    lengths = [len(actions) for actions in program.processes]
+
+    def span_meets(span, interval) -> bool:
+        lo, extent = span
+        a, b = interval
+        if extent:
+            return lo < b and lo + 1 > a
+        return a < lo < b
+
+    def forbidden(multi_index) -> bool:
+        for resource, capacity in program.resources.items():
+            holders = 0
+            for proc, span in enumerate(multi_index):
+                intervals = holds[proc].get(resource, ())
+                if any(span_meets(span, iv) for iv in intervals):
+                    holders += 1
+            if holders > capacity:
+                return True
+        return False
+
+    axes = [
+        [(k, 0) for k in range(n + 1)] + [(k, 1) for k in range(n)]
+        for n in lengths
+    ]
+    cells: dict = {}
+    faces: dict = {}
+    removed = set()
+    kept = set()
+    for multi_index in product(*axes):
+        if forbidden(multi_index):
+            removed.add(multi_index)
+            continue
+        kept.add(multi_index)
+        dim = sum(extent for _, extent in multi_index)
+        cells.setdefault(dim, []).append(Cell(dim, _cell_name(multi_index)))
+    for multi_index in kept:
+        dim = sum(extent for _, extent in multi_index)
+        if dim == 0:
+            continue
+        cell = Cell(dim, _cell_name(multi_index))
+        direction = 0
+        for axis, (lo, extent) in enumerate(multi_index):
+            if not extent:
+                continue
+            direction += 1
+            for sign in (0, 1):
+                collapsed = list(multi_index)
+                collapsed[axis] = (lo + sign, 0)
+                target = tuple(collapsed)
+                faces[(cell, direction, sign)] = Cell(dim - 1, _cell_name(target))
+    return CompiledProgram(PrecubicalSet(cells, faces), ForbiddenRegion(frozenset(removed)))

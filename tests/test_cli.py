@@ -1,15 +1,18 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
-from ditop import Cell, directed_path, fold_map, grid, standard_cube
+from ditop import Cell, directed_path, fold_map, grid, pv, standard_cube
 from ditop.cli import canonical_json, main
 from ditop.dicovering import cylinder_projection
 from ditop.precubical import complex_to_data, morphism_to_data
 
 import oracles
 from conftest import SWISS_PV
+
+FIXTURES = Path(__file__).parent.parent / "fixtures"
 
 
 @pytest.fixture
@@ -312,6 +315,41 @@ class TestPvVerb:
         path.write_text("proc Pa;")
         code, _, err = run("pv", "compile", str(path))
         assert code == 2 and "undeclared" in err
+
+    @pytest.mark.parametrize("text", ["", " \n\n"])
+    def test_empty_source_exits_2(self, run, tmp_path, text):
+        path = tmp_path / "empty.pv"
+        path.write_text(text)
+        code, out, err = run("pv", "compile", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("ditop: ") and err.endswith(": unexpected end of input\n")
+
+    @pytest.mark.parametrize("source", ["fixture", "mutex4"])
+    def test_deadlocks_stdout_matches_the_naive_compiler(self, run, tmp_path, source):
+        if source == "fixture":
+            path = FIXTURES / "swiss.pv"
+        else:
+            path = tmp_path / "mutex4.pv"
+            path.write_text(
+                "res a:1; res p0:1; res p1:1;\n"
+                "proc Pp0.Vp0.Pa.Va;\n"
+                "proc Pa.Va.Pp1.Vp1;\n"
+                "proc Pa.Va;\n"
+                "proc Pp0.Pa.Va.Vp0;\n"
+            )
+        program = pv.parse(path.read_text())
+        expected = oracles.naive_build_complex(program)
+        final = pv.top_corner(program)
+        table = oracles.out_table(expected.space)
+        stuck = [v.key for v in expected.space.vertices if not table[v] and v.key != final]
+        data = complex_to_data(expected.space)
+        data["forbidden"] = pv.forbidden_to_data(expected.forbidden)
+        data["meta"] = {"processes": len(program.processes), "resources": program.resources}
+        data["final"] = final
+        data["deadlocks"] = stuck
+        code, out, _ = run("pv", "compile", str(path), "--deadlocks")
+        assert out == canonical_json(data) + "\n"
+        assert code == (1 if stuck else 0)
 
 
 class TestFactorInitialVerb:

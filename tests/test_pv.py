@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ditop import InputError, PvSemanticError, PvSyntaxError, validate, vertex
 from ditop import pv
+from ditop.precubical import complex_to_data
 
 from conftest import MUTEX3_PV, SWISS_PV
 
@@ -59,6 +61,12 @@ class TestParse:
         with pytest.raises(PvSyntaxError):
             pv.parse("res a:1 proc Pa.Va;")
 
+    @pytest.mark.parametrize("text", ["", "  \n\t\n"])
+    def test_empty_source_has_no_declaration(self, text):
+        # the grammar asks for at least one declaration
+        with pytest.raises(PvSyntaxError, match="unexpected end of input"):
+            pv.parse(text)
+
     def test_round_trip(self):
         for text in ("res a:1; proc Pa.Va;", SWISS_PV, MUTEX3_PV):
             program = pv.parse(text)
@@ -114,6 +122,18 @@ class TestBuildComplex:
             if name.startswith("pv_"):
                 assert validate(space) == [], name
 
+    def test_nested_reacquire_counts_its_process_once(self):
+        # the first process holds a on (1, 3) and (2, 4); counted per
+        # interval, it alone would fill the capacity on (2, 3)
+        compiled = pv.build_complex(pv.parse("res a:2; proc Pa.Pa.Va.Va; proc Pa.Va;"))
+        assert len(compiled.forbidden) == 0
+        compiled = pv.build_complex(pv.parse(
+            "res a:2; proc Pa.Pa.Va.Va; proc Pa.Va; proc Pa.Va;"
+        ))
+        assert pv.forbidden_to_data(compiled.forbidden) == [
+            "1-2x1-2x1-2", "2-3x1-2x1-2", "2x1-2x1-2", "3-4x1-2x1-2", "3x1-2x1-2",
+        ]
+
     def test_process_reordering_is_isomorphic(self):
         forward = pv.build_complex(pv.parse(SWISS_PV)).space
         swapped = pv.build_complex(pv.parse(
@@ -151,3 +171,39 @@ class TestDeadlocks:
 
     def test_top_corner_name(self):
         assert pv.top_corner(pv.parse(SWISS_PV)) == "4x4"
+
+
+@st.composite
+def pv_programs(draw):
+    """1-4 processes of at most 6 actions over 1-3 resources of capacity 1-2.
+
+    A process acquires 1-3 times, each time any resource, and releases
+    any resource it holds, so re-acquires such as ``Pa.Pa.Va.Va`` occur.
+    """
+    capacities = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    names = [f"r{i}" for i in range(len(capacities))]
+    lines = [f"res {name}:{cap};" for name, cap in zip(names, capacities)]
+    for _ in range(draw(st.integers(1, 4))):
+        to_acquire, held, actions = draw(st.integers(1, 3)), [], []
+        while to_acquire or held:
+            if to_acquire and (not held or draw(st.booleans())):
+                held.append(draw(st.sampled_from(names)))
+                actions.append("P" + held[-1])
+                to_acquire -= 1
+            else:
+                resource = draw(st.sampled_from(held))
+                held.remove(resource)
+                actions.append("V" + resource)
+        lines.append("proc " + ".".join(actions) + ";")
+    return pv.parse("\n".join(lines))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=15)
+@given(pv_programs())
+def test_build_complex_matches_the_naive_compiler(program):
+    compiled = pv.build_complex(program)
+    expected = oracles.naive_build_complex(program)
+    assert complex_to_data(compiled.space) == complex_to_data(expected.space)
+    assert compiled.forbidden == expected.forbidden
+    final = vertex(pv.top_corner(program))
+    assert pv.deadlocks(compiled.space, final) == pv.deadlocks(expected.space, final)

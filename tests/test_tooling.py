@@ -211,6 +211,11 @@ class TestLazyLoading:
         for name in ("ditop.dicovering", "ditop.pv"):
             assert name not in loaded["unfold"]
 
+    def test_factor_initial_skips_the_path_layers(self, loaded):
+        assert "ditop.unfolding" in loaded["factor-initial"]
+        for name in ("ditop.dihomotopy", "ditop.dipath", "ditop.dicovering", "ditop.pv"):
+            assert name not in loaded["factor-initial"]
+
     def test_no_verb_loads_dataclasses(self, loaded):
         for verb in VERBS:
             assert "ditop.cli" in loaded[verb], verb

@@ -15,8 +15,8 @@ and compiles only what its verb needs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import DitopError, InputError, ResourceLimitError
 
@@ -24,13 +24,94 @@ DEFAULT_DEPTH = 16
 DEFAULT_BUDGET = 1_000_000
 DEFAULT_MAX_LEN = 16
 
+_INFINITY = float("inf")
+
 
 def canonical_json(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True)
+    """``data`` exactly as ``json.dumps(data, indent=2, sort_keys=True)`` writes it.
+
+    With ``indent`` the standard library runs its pure-Python encoder;
+    this one emitter writes the same bytes for the one layout the CLI
+    prints.  It tests exact types before subclasses, quotes strings with
+    the C string encoder, and joins each container's children at once.
+    Values and keys it cannot write raise ``TypeError``, as ``json`` does.
+    """
+    return _encode(data, "\n")
+
+
+def _encode(o, newline: str) -> str:
+    """One JSON value; ``newline`` starts a line at the value's own indent."""
+    t = type(o)
+    if t is str:
+        return _quote(o)
+    if t is dict:
+        return _encode_dict(o, newline)
+    if t is list:
+        return _encode_list(o, newline)
+    if t is int:
+        return int.__repr__(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    # the rest in the order json's encoder tests them, subclasses included
+    if isinstance(o, str):
+        return _quote(o)
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float(o)
+    if isinstance(o, (list, tuple)):
+        return _encode_list(o, newline)
+    if isinstance(o, dict):
+        return _encode_dict(o, newline)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _encode_list(items, newline: str) -> str:
+    if not items:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join([
+        _quote(x) if type(x) is str else _encode(x, inner) for x in items
+    ]) + newline + "]"
+
+
+def _encode_dict(d, newline: str) -> str:
+    if not d:
+        return "{}"
+    inner = newline + "  "
+    # json sorts the items before it converts non-str keys
+    return "{" + inner + ("," + inner).join([
+        _quote(k if type(k) is str else _key(k)) + ": "
+        + (_quote(v) if type(v) is str else _encode(v, inner))
+        for k, v in sorted(d.items())
+    ]) + newline + "}"
+
+
+def _key(k) -> str:
+    if isinstance(k, str):
+        return k
+    if k is None or isinstance(k, (int, float)):
+        return _encode(k, "")
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _float(f: float) -> str:
+    if f != f:
+        return "NaN"
+    if f == _INFINITY:
+        return "Infinity"
+    if f == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(f)
 
 
 def _emit(data) -> None:
-    sys.stdout.write(canonical_json(data) + "\n")
+    sys.stdout.write(canonical_json(data))
+    sys.stdout.write("\n")
 
 
 def _vertex(space, key: str):
@@ -110,8 +191,13 @@ def _cmd_unfold(args) -> int:
     data = unfolding_to_data(u)
     data["meta"] = {"depth": args.depth}
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(canonical_json(data) + "\n")
+        text = canonical_json(data)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+                handle.write("\n")
+        except OSError as exc:
+            raise DitopError(f"cannot write {args.out}: {exc}") from None
     else:
         _emit(data)
     return 0

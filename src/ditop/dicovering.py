@@ -44,8 +44,6 @@ from .precubical import (
     Cell,
     PcMorphism,
     PrecubicalSet,
-    codiagonal,
-    disjoint_union,
     identity,
     validate_morphism,
 )
@@ -183,6 +181,9 @@ def fold_map(space: PrecubicalSet, k: int) -> PcMorphism:
         raise InputError("fold_map needs at least one copy")
     if k == 1:
         return identity(space)
+    # no verb runs this, so the cover check does not load the constructions
+    from .constructions import disjoint_union
+
     union, injections = disjoint_union([space] * k)
     mapping: dict[Cell, Cell] = {}
     for inj in injections:
@@ -202,6 +203,8 @@ def cylinder_projection(space: PrecubicalSet) -> PcMorphism:
     complex has an edge the fold fails unique edge lifting with count 2
     (the two copies of that edge).
     """
+    from .constructions import codiagonal
+
     skeleton = PrecubicalSet({0: space.vertices}, {})
     inclusion = PcMorphism(skeleton, space, {v: v for v in space.vertices})
     return codiagonal(inclusion).fold

@@ -334,9 +334,12 @@ def classes(
     The classes are the states of :func:`reflect` over b, ordered by
     canonical representative; each carries its path count, not its
     members.  ``budget`` caps the (state, edge) extensions made, and
-    running past it raises ResourceLimitError.
+    running past it raises ResourceLimitError; a negative one is an
+    InputError.
     """
     check_query(space, a, b, max_len)
+    if budget < 0:
+        raise InputError("budget must be non-negative")
     r = reflect(space, a, max_len, target=b, budget=budget)
     result = [
         DihomotopyClass((a, b), r.canonical(i), count=r.counts[i])

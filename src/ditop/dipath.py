@@ -226,7 +226,7 @@ def reachability_preorder(space: PrecubicalSet) -> Preorder:
 
 
 def path_to_data(p: EdgePath) -> dict:
-    return {"start": p.start.key, "edges": list(p.edge_keys())}
+    return {"start": p.start.key, "edges": [e.key for e in p.edges]}
 
 
 def path_from_data(data, space: PrecubicalSet, check: bool = True) -> EdgePath:

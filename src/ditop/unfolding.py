@@ -42,7 +42,6 @@ from .precubical import (
     PcMorphism,
     PrecubicalSet,
     complex_to_data,
-    morphism_to_data,
 )
 
 if TYPE_CHECKING:
@@ -189,11 +188,13 @@ def universal_property_suite(
     witness).  For each passing entry and each of its basepoint lifts, a
     unique factorization of the unfolding through the entry must exist.
     Resource-limit errors are recorded per basepoint without aborting
-    the suite.
+    the suite; a negative ``node_budget`` is an InputError.
     """
     # the cover check loads here, so that unfolding alone does not compile it
     from .dicovering import check_dicovering, universality_check
 
+    if node_budget < 0:
+        raise InputError("budget must be non-negative")
     if labels is None:
         labels = [f"entry{idx}" for idx in range(len(catalog))]
     elif len(labels) != len(catalog):
@@ -230,18 +231,29 @@ def universal_property_suite(
 
 
 def unfolding_to_data(u: Unfolding) -> dict:
+    """The total complex's file, with its projection, states and extent.
+
+    The total complex's data is built once and is also the projection's
+    ``source``.
+    """
     from .dipath import path_to_data
 
-    data = complex_to_data(u.total)
-    data["projection"] = morphism_to_data(u.projection)
-    data["states"] = {
-        v.key: {"class_canonical": path_to_data(cls.canonical)}
-        for v, cls in sorted(u.states.items())
+    total = complex_to_data(u.total)
+    return {
+        **total,
+        "projection": {
+            "source": total,
+            "target": complex_to_data(u.projection.target),
+            "map": {c.key: d.key for c, d in u.projection.mapping.items()},
+        },
+        "states": {
+            v.key: {"class_canonical": path_to_data(cls.canonical)}
+            for v, cls in u.states.items()
+        },
+        "complete": u.complete,
+        "depth": u.depth,
+        "basepoint": u.basepoint.key,
     }
-    data["complete"] = u.complete
-    data["depth"] = u.depth
-    data["basepoint"] = u.basepoint.key
-    return data
 
 
 def suite_to_data(report: SuiteReport) -> dict:

@@ -8,12 +8,15 @@ union-find, longer paths by enumerating past the length bound, whole-path
 lifts by exhaustive enumeration upstairs, cell lifts by counting every
 upstairs cell at its hand-walked minimal corner, factorizations through
 a projection by backtracking search over its fibres, isomorphisms
-by backtracking over cells, and PV state spaces by testing every grid
-cell against every hold interval.  Complex surgery that only tests
-need, such as redirecting one face entry, lives here too.
+by backtracking over cells, PV state spaces by testing every grid
+cell against every hold interval, and canonical JSON by the standard
+library's own encoder.  Complex surgery that only tests need, such as
+redirecting one face entry, lives here too.
 """
 
 from __future__ import annotations
+
+import json
 
 from ditop import (
     AmbiguousFactorizationError,
@@ -24,6 +27,11 @@ from ditop import (
     ResourceLimitError,
 )
 from ditop.pv import CompiledProgram, ForbiddenRegion, _cell_name, hold_intervals
+
+
+def stdlib_canonical_json(data) -> str:
+    """The layout every CLI output must have, written by ``json`` itself."""
+    return json.dumps(data, indent=2, sort_keys=True)
 
 
 def out_table(space):

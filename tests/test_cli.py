@@ -164,6 +164,17 @@ class TestPathVerbs:
         )
         assert code == 3 and "resource limit" in err
 
+    @pytest.mark.parametrize("verb", ["classes", "universal"])
+    def test_negative_budget_is_an_input_error(self, run, verb):
+        code, out, err = run(*BUDGETED[verb], "--budget", "-1")
+        assert (code, out, err) == (2, "", "ditop: budget must be non-negative\n")
+
+    @pytest.mark.parametrize("verb", ["classes", "universal"])
+    def test_zero_budget_is_a_resource_limit(self, run, verb):
+        # universal reports its budget overrun per basepoint in its output
+        code, out, err = run(*BUDGETED[verb], "--budget", "0")
+        assert code == 3 and "exceeded its" in out + err
+
     def test_classes_budget_stops_exponential_work(self, run, tmp_path):
         # 2^40 paths o -> o of length 40; the budget must stop the run early
         path = tmp_path / "bouquet.json"
@@ -202,6 +213,13 @@ class TestPathVerbs:
         assert first == second
 
 
+BUDGETED = {
+    "classes": ["classes", str(FIXTURES / "swiss.json"), "--from", "c00", "--to", "c33"],
+    "universal": ["universal", str(FIXTURES / "swiss.json"), "--base", "c00", "--depth", "4",
+                  "--against", str(FIXTURES / "fold2_swiss.json")],
+}
+
+
 class TestUnfoldVerb:
     def test_stdout(self, run, swiss_file):
         code, out, _ = run("unfold", swiss_file, "--base", "c00", "--depth", "12")
@@ -217,6 +235,14 @@ class TestUnfoldVerb:
         assert code == 0 and out == ""
         code2, out2, _ = run("validate", str(out_path))
         assert code2 == 0
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_out_path_that_cannot_be_written_exits_2(self, run, swiss_file, tmp_path, where):
+        out_path = tmp_path / "missing" / "u.json" if where == "missing-directory" else tmp_path
+        code, out, err = run("unfold", swiss_file, "--base", "c00", "--depth", "3",
+                             "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"ditop: cannot write {out_path}: ") and err.count("\n") == 1
 
 
 class TestCoverVerbs:
@@ -360,3 +386,36 @@ class TestFactorInitialVerb:
         assert data["middle_is_empty"] is True
         assert data["middle"] == {"cells": {}, "faces": {}}
         assert data["right"]["map"] == {}
+
+
+FIXTURE_VERBS = {
+    "validate": ["validate", "swiss.json"],
+    "paths": ["paths", "swiss.json", "--from", "c00", "--to", "c33"],
+    "classes": ["classes", "swiss.json", "--from", "c00", "--to", "c33"],
+    "preorder": ["preorder", "swiss.json"],
+    "unfold": ["unfold", "swiss.json", "--base", "c00", "--depth", "12"],
+    "check-cover": ["check-cover", "fold2_swiss.json", "--base", "c00"],
+    "universal": ["universal", "swiss.json", "--base", "c00", "--depth", "12",
+                  "--against", "fold2_swiss.json"],
+    "pv": ["pv", "compile", "swiss.pv", "--deadlocks"],
+    "factor-initial": ["factor-initial", "swiss.json"],
+}
+
+
+class TestOutputLayout:
+    """Every verb writes exactly what ``json.dumps(indent=2, sort_keys=True)`` writes."""
+
+    @pytest.mark.parametrize("verb", sorted(FIXTURE_VERBS))
+    def test_stdout_matches_the_standard_library(self, run, monkeypatch, verb):
+        monkeypatch.chdir(FIXTURES)
+        code, out, err = run(*FIXTURE_VERBS[verb])
+        assert code in (0, 1) and err == ""
+        assert out == oracles.stdlib_canonical_json(json.loads(out)) + "\n"
+
+    def test_unfold_out_file_matches_the_standard_library(self, run, tmp_path):
+        out_path = tmp_path / "unfolded.json"
+        code, out, _ = run("unfold", str(FIXTURES / "swiss.json"), "--base", "c00",
+                           "--depth", "12", "--out", str(out_path))
+        assert (code, out) == (0, "")
+        text = out_path.read_text(encoding="utf-8")
+        assert text == oracles.stdlib_canonical_json(json.loads(text)) + "\n"

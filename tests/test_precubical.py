@@ -17,6 +17,7 @@ from ditop import (
     coproduct,
     directed_circle,
     directed_path,
+    edge,
     fold_map,
     grid,
     identity,
@@ -368,6 +369,20 @@ class TestSerialization:
             complex_from_data(data)
         # but the unchecked loader accepts it, for the validate verb
         assert complex_from_data(data, check=False).cell_count() == broken.cell_count()
+
+    def test_broken_tables_serialize_only_their_valid_entries(self):
+        a, b, e, f, s = vertex("a"), vertex("b"), edge("e"), edge("f"), Cell(2, "s")
+        space = PrecubicalSet({0: [a, b], 1: [e, f], 2: [s]}, {
+            (e, 1, 0): a,               # partial: e lacks (1,1)
+            (e, 2, 0): b,               # direction out of range for an edge
+            (e, 1, 2): b,               # sign out of range
+            (s, 2, 1): f,               # partial square
+            (Cell(2, "e"), 1, 1): b,    # stray: no 2-cell "e" exists
+        })
+        assert complex_to_data(space) == {
+            "cells": {"0": ["a", "b"], "1": ["e", "f"], "2": ["s"]},
+            "faces": {"e": {"1,0": "a"}, "f": {}, "s": {"2,1": "f"}},
+        }
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(InputError):

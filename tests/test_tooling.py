@@ -48,6 +48,21 @@ def test_cli_imports_only_the_standard_library_and_errors_at_module_level():
             assert name == "__future__" or name.split(".")[0] in sys.stdlib_module_names, name
 
 
+def test_json_is_indented_only_by_the_canonical_emitter():
+    # json.dump(s) with indent runs the slow pure-Python encoder and could
+    # drift from cli.canonical_json, the one writer of indented output
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("dump", "dumps"):
+                keywords = {kw.arg for kw in node.keywords}
+                assert "indent" not in keywords, f"{path.name}:{node.lineno} {ast.unparse(node)}"
+                assert None not in keywords, f"{path.name}:{node.lineno} passes **kwargs"
+
+
 # every public name of the package; dropping one is an API change
 PUBLIC_API = [
     "AmbiguousFactorizationError", "AmbiguousLiftError", "BOTTOM_RIGHT", "Cell",
@@ -172,6 +187,7 @@ PROBES = {
     **{verb: run_verb(argv) for verb, argv in VERBS.items()},
     "import ditop": "import ditop",
     "ditop.Cell": "import ditop\nditop.Cell",
+    "ditop.standard_cube": "import ditop\nditop.standard_cube",
 }
 
 
@@ -220,3 +236,12 @@ class TestLazyLoading:
         for verb in VERBS:
             assert "ditop.cli" in loaded[verb], verb
             assert "dataclasses" not in loaded[verb], verb
+
+    def test_no_verb_loads_the_constructions(self, loaded):
+        for verb in VERBS:
+            assert "ditop.constructions" not in loaded[verb], verb
+
+    def test_a_construction_loads_on_first_use(self, loaded):
+        assert ditop_modules(loaded["ditop.standard_cube"]) == {
+            "ditop", "ditop.constructions", "ditop.errors", "ditop.precubical",
+        }

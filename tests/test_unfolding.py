@@ -26,7 +26,7 @@ from ditop import (
     vertex,
 )
 from ditop import pv
-from ditop.precubical import complex_from_data
+from ditop.precubical import complex_from_data, morphism_from_data, morphism_to_data
 
 import oracles
 from conftest import MUTEX3_PV
@@ -241,3 +241,5 @@ class TestSerialization:
         assert set(data["states"]) == {v.key for v in u.total.vertices}
         root_state = data["states"]["s0"]["class_canonical"]
         assert root_state == {"start": "c00", "edges": []}
+        assert morphism_from_data(data["projection"]) == u.projection
+        assert data["projection"] == morphism_to_data(u.projection)

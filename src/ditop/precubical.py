@@ -71,7 +71,8 @@ class PrecubicalSet:
         by_dim: dict[int, tuple[Cell, ...]] = {}
         seen: set[str] = set()
         for dim in sorted(int(d) for d in cells):
-            cs = sorted(set(cells[dim]))
+            cs = list(cells[dim])
+            cs = sorted(cs if len(set(cs)) == len(cs) else set(cs))  # linear on sorted input
             if not cs:
                 continue
             for c in cs:
@@ -234,61 +235,58 @@ def validate(space: PrecubicalSet) -> list[Violation]:
     ``bad-face-index`` (direction or sign out of range), ``missing-face``
     (the face map is not total), ``dangling-face`` (target undeclared),
     ``face-dimension`` (target of the wrong dimension), and
-    ``cubical-identity``.
+    ``cubical-identity``.  The face table is read once per face slot and
+    only offending entries are sorted.  An identity is checked only where
+    both first faces are recorded, so a cell without faces costs none.
     """
+    get = space._faces.get
+    members = space._members
     report: list[Violation] = []
-    for (c, i, a) in sorted(k for k, _ in space.face_items()):
-        if c not in space:
+    offending = [k for k in space._faces if k[0] not in members or not 1 <= k[1] <= k[0].dim or k[2] not in (0, 1)]
+    for (c, i, a) in sorted(offending):
+        if c not in members:
             report.append(Violation("stray-face", f"face entry recorded for unknown cell {c.key!r}", c))
-        elif not (1 <= i <= c.dim) or a not in (0, 1):
+        else:
             report.append(Violation(
-                "bad-face-index",
-                f"face ({i},{a}) out of range for cell {c.key!r} of dimension {c.dim}",
-                c,
-            ))
+                "bad-face-index", f"face ({i},{a}) out of range for cell {c.key!r} of dimension {c.dim}", c))
 
-    for c in space.all_cells():
-        for i in range(1, c.dim + 1):
-            for a in (0, 1):
-                try:
-                    t = space.face(c, i, a)
-                except KeyError:
-                    report.append(Violation("missing-face", f"cell {c.key!r} lacks face ({i},{a})", c))
-                    continue
-                if t not in space:
-                    report.append(Violation(
-                        "dangling-face",
-                        f"face ({i},{a}) of {c.key!r} is the undeclared cell {t.key!r}",
-                        c,
-                    ))
-                elif t.dim != c.dim - 1:
-                    report.append(Violation(
-                        "face-dimension",
-                        f"face ({i},{a}) of {c.key!r} has dimension {t.dim}, expected {c.dim - 1}",
-                        c,
-                    ))
-
-    for dim in space.dims():
-        if dim < 2:
+    identities: list[Violation] = []
+    for dim, cs in space._cells.items():
+        if not dim:
             continue
-        for c in space.cells(dim):
-            for j in range(2, dim + 1):
-                for i in range(1, j):
+        slots = [(i, a) for i in range(1, dim + 1) for a in (0, 1)]
+        sound = frozenset(space._cells.get(dim - 1, ()))
+        for c in cs:
+            row = [get((c, i, a)) for i, a in slots]
+            if sound.issuperset(row):
+                recorded = range(1, dim + 1)
+            else:
+                for (i, a), t in zip(slots, row):
+                    where = f"face ({i},{a}) of {c.key!r}"
+                    if t is None:
+                        report.append(Violation("missing-face", f"cell {c.key!r} lacks face ({i},{a})", c))
+                    elif t not in members:
+                        report.append(Violation("dangling-face", f"{where} is the undeclared cell {t.key!r}", c))
+                    elif t.dim != dim - 1:
+                        report.append(Violation(
+                            "face-dimension", f"{where} has dimension {t.dim}, expected {dim - 1}", c))
+                recorded = [i for i in range(1, dim + 1) if row[2 * i - 2] is not None or row[2 * i - 1] is not None]
+            # face(face(c,j,b),i,a) == face(face(c,i,a),j-1,b) for i < j; a
+            # missing first face is None, which has no faces either
+            for n, j in enumerate(recorded):
+                for i in recorded[:n]:
                     for a in (0, 1):
                         for b in (0, 1):
-                            try:
-                                lhs = space.face(space.face(c, j, b), i, a)
-                                rhs = space.face(space.face(c, i, a), j - 1, b)
-                            except KeyError:
-                                continue  # totality failure already reported
-                            if lhs != rhs:
-                                report.append(Violation(
+                            lhs = get((row[2 * j - 2 + b], i, a))
+                            rhs = get((row[2 * i - 2 + a], j - 1, b))
+                            if lhs is not None and rhs is not None and lhs != rhs:
+                                identities.append(Violation(
                                     "cubical-identity",
                                     f"face(face({c.key!r},{j},{b}),{i},{a}) = {lhs.key!r} "
                                     f"but face(face({c.key!r},{i},{a}),{j - 1},{b}) = {rhs.key!r}",
                                     c,
                                 ))
-    return report
+    return report + identities
 
 
 class PcMorphism:
@@ -336,33 +334,31 @@ def compose(outer: PcMorphism, inner: PcMorphism) -> PcMorphism:
 
 
 def validate_morphism(f: PcMorphism) -> list[Violation]:
-    """Totality, dimension preservation and face commutation, as a report."""
+    """Totality, dimension preservation and face commutation, read off both face tables."""
+    image = f.mapping.get
+    source_face = f.source._faces.get
+    target_face = f.target._faces.get
+    targets = f.target._members
     report: list[Violation] = []
-    for c in f.source.all_cells():
-        if c not in f.mapping:
-            report.append(Violation("map-totality", f"source cell {c.key!r} has no image", c))
-            continue
-        d = f.mapping[c]
-        if d not in f.target:
-            report.append(Violation("map-target", f"image {d.key!r} of {c.key!r} is not a target cell", c))
-            continue
-        if d.dim != c.dim:
-            report.append(Violation("map-dimension", f"{c.key!r} of dim {c.dim} maps to {d.key!r} of dim {d.dim}", c))
-            continue
-        for i in range(1, c.dim + 1):
-            for a in (0, 1):
-                try:
-                    lhs = f.mapping.get(f.source.face(c, i, a))
-                    rhs = f.target.face(d, i, a)
-                except KeyError:
-                    report.append(Violation("map-faces", f"cannot resolve faces ({i},{a}) under {c.key!r}", c))
-                    continue
-                if lhs != rhs:
-                    report.append(Violation(
-                        "map-faces",
-                        f"map(face({c.key!r},{i},{a})) != face(map({c.key!r}),{i},{a})",
-                        c,
-                    ))
+    for dim, cs in f.source._cells.items():
+        for c in cs:
+            d = image(c)
+            if d is None and c not in f.mapping:
+                report.append(Violation("map-totality", f"source cell {c.key!r} has no image", c))
+            elif d not in targets:
+                report.append(Violation("map-target", f"image {d.key!r} of {c.key!r} is not a target cell", c))
+            elif d.dim != dim:
+                report.append(Violation("map-dimension", f"{c.key!r} of dim {dim} maps to {d.key!r} of dim {d.dim}", c))
+            else:
+                for i in range(1, dim + 1):
+                    for a in (0, 1):
+                        s = source_face((c, i, a))
+                        t = target_face((d, i, a))
+                        if s is None or t is None:
+                            report.append(Violation("map-faces", f"cannot resolve faces ({i},{a}) under {c.key!r}", c))
+                        elif image(s) != t:
+                            report.append(Violation(
+                                "map-faces", f"map(face({c.key!r},{i},{a})) != face(map({c.key!r}),{i},{a})", c))
     return report
 
 
@@ -430,7 +426,7 @@ def complex_from_data(data, check: bool = True) -> PrecubicalSet:
     raw_cells = data["cells"]
     if not isinstance(raw_cells, dict):
         raise InputError("'cells' must map dimensions to lists of ids")
-    dim_of: dict[str, int] = {}
+    by_id: dict[str, Cell] = {}
     cells: dict[int, list[Cell]] = {}
     for dim_str, ids in raw_cells.items():
         try:
@@ -442,30 +438,33 @@ def complex_from_data(data, check: bool = True) -> PrecubicalSet:
         for cid in ids:
             if not isinstance(cid, str):
                 raise InputError("cell ids must be strings")
-            if cid in dim_of:
+            if cid in by_id:
                 raise InputError(f"duplicate cell id {cid!r}")
-            dim_of[cid] = dim
-            cells.setdefault(dim, []).append(Cell(dim, cid))
+            by_id[cid] = c = Cell(dim, cid)
+            cells.setdefault(dim, []).append(c)
     raw_faces = data.get("faces") or {}
     if not isinstance(raw_faces, dict):
         raise InputError("'faces' must map cell ids to face tables")
+    slot_of: dict[str, tuple[int, int]] = {}
     faces: dict[FaceKey, Cell] = {}
     for cid, entry in raw_faces.items():
-        if cid not in dim_of:
+        c = by_id.get(cid)
+        if c is None:
             raise InputError(f"faces recorded for unknown cell {cid!r}")
-        dim = dim_of[cid]
         if not isinstance(entry, dict):
             raise InputError(f"face table of {cid!r} must be an object")
         for key, tid in entry.items():
-            try:
-                i_str, a_str = key.split(",")
-                i, a = int(i_str), int(a_str)
-            except ValueError:
-                raise InputError(f"bad face key {key!r} on cell {cid!r}") from None
+            slot = slot_of.get(key)
+            if slot is None:
+                try:
+                    i_str, a_str = key.split(",")
+                    slot = slot_of[key] = (int(i_str), int(a_str))
+                except ValueError:
+                    raise InputError(f"bad face key {key!r} on cell {cid!r}") from None
             if not isinstance(tid, str):
                 raise InputError(f"face target of {cid!r} must be a string id")
-            tdim = dim_of.get(tid, dim - 1)
-            faces[(Cell(dim, cid), i, a)] = Cell(tdim, tid)
+            i, a = slot
+            faces[(c, i, a)] = by_id.get(tid) or Cell(c.dim - 1, tid)
     try:
         space = PrecubicalSet(cells, faces)
     except ValueError as exc:
@@ -519,17 +518,19 @@ def morphism_from_data(data, base_dir=None, check: bool = True) -> PcMorphism:
         raise InputError("'map' must map source cell ids to target cell ids")
     source = _resolve_complex_field(data["source"], base_dir, check)
     target = _resolve_complex_field(data["target"], base_dir, check)
-    by_key_src = {c.key: c for c in source.all_cells()}
-    by_key_tgt = {c.key: c for c in target.all_cells()}
+    source_id = {c.key: c for c in source._members}
+    target_id = {c.key: c for c in target._members}
     mapping: dict[Cell, Cell] = {}
     for src_id, tgt_id in data["map"].items():
-        if src_id not in by_key_src:
+        c = source_id.get(src_id)
+        if c is None:
             raise InputError(f"map key {src_id!r} is not a source cell")
         if not isinstance(tgt_id, str):
             raise InputError(f"map value of {src_id!r} must be a string id")
-        if tgt_id not in by_key_tgt:
+        d = target_id.get(tgt_id)
+        if d is None:
             raise InputError(f"map value {tgt_id!r} is not a target cell")
-        mapping[by_key_src[src_id]] = by_key_tgt[tgt_id]
+        mapping[c] = d
     f = PcMorphism(source, target, mapping)
     if check:
         report = validate_morphism(f)

@@ -10,13 +10,17 @@ upstairs cell at its hand-walked minimal corner, factorizations through
 a projection by backtracking search over its fibres, isomorphisms
 by backtracking over cells, PV state spaces by testing every grid
 cell against every hold interval, and canonical JSON by the standard
-library's own encoder.  Complex surgery that only tests need, such as
-redirecting one face entry, lives here too.
+library's own encoder.  The checked loader and both validators are
+here as they were before the loader read its face table directly: one
+``face()`` call per lookup and a new ``Cell`` per face entry.  Complex
+surgery that only tests need, such as redirecting one face entry, lives
+here too.
 """
 
 from __future__ import annotations
 
 import json
+import os
 
 from ditop import (
     AmbiguousFactorizationError,
@@ -26,6 +30,7 @@ from ditop import (
     PrecubicalSet,
     ResourceLimitError,
 )
+from ditop.precubical import Violation, _load_json, _pure_path
 from ditop.pv import CompiledProgram, ForbiddenRegion, _cell_name, hold_intervals
 
 
@@ -111,9 +116,13 @@ def cover_verdict(p, basepoint=None):
     return None
 
 
-def dfs_paths(space, a, b, max_len):
-    """All edge tuples from a to b with at most max_len edges."""
-    table = out_table(space)
+def dfs_paths(space, a, b, max_len, table=None):
+    """All edge tuples from a to b with at most max_len edges.
+
+    ``table`` is ``out_table(space)``, for callers that ask about many pairs.
+    """
+    if table is None:
+        table = out_table(space)
     found = []
 
     def walk(at, acc):
@@ -192,15 +201,15 @@ def naive_partition(space, edge_tuples):
     return {frozenset(g) for g in groups.values()}
 
 
-def class_summary(space, a, b, max_len):
+def class_summary(space, a, b, max_len, table=None):
     """Sorted (least member's edge keys, size) of each class of a-to-b paths."""
-    blocks = naive_partition(space, dfs_paths(space, a, b, max_len))
+    blocks = naive_partition(space, dfs_paths(space, a, b, max_len, table))
     return sorted(
         (min(tuple(e.key for e in t) for t in block), len(block)) for block in blocks
     )
 
 
-def longer_path_exists(space, a, b, max_len):
+def longer_path_exists(space, a, b, max_len, table=None):
     """Whether some a-to-b path has more than max_len edges.
 
     If one does, the shortest such path has at most max_len + |V| edges:
@@ -208,7 +217,7 @@ def longer_path_exists(space, a, b, max_len):
     edges) would leave a shorter path still longer than max_len.
     """
     bound = max_len + len(space.vertices)
-    return any(len(p) > max_len for p in dfs_paths(space, a, b, bound))
+    return any(len(p) > max_len for p in dfs_paths(space, a, b, bound, table))
 
 
 def brute_force_lifts(projection, base_edges, y0):
@@ -449,7 +458,8 @@ def naive_build_complex(program) -> CompiledProgram:
     """A PV program's state space, one grid cell at a time.
 
     Every grid cell is tested against every resource, process and hold
-    interval, and every cell and face name is built from its spans.
+    interval.  Every kept cell is built once, with its name, and a face
+    looks its target up by multi-index.
     """
     from itertools import product
 
@@ -481,19 +491,15 @@ def naive_build_complex(program) -> CompiledProgram:
     cells: dict = {}
     faces: dict = {}
     removed = set()
-    kept = set()
+    kept: dict = {}
     for multi_index in product(*axes):
         if forbidden(multi_index):
             removed.add(multi_index)
             continue
-        kept.add(multi_index)
         dim = sum(extent for _, extent in multi_index)
-        cells.setdefault(dim, []).append(Cell(dim, _cell_name(multi_index)))
-    for multi_index in kept:
-        dim = sum(extent for _, extent in multi_index)
-        if dim == 0:
-            continue
-        cell = Cell(dim, _cell_name(multi_index))
+        cell = kept[multi_index] = Cell(dim, _cell_name(multi_index))
+        cells.setdefault(dim, []).append(cell)
+    for multi_index, cell in kept.items():
         direction = 0
         for axis, (lo, extent) in enumerate(multi_index):
             if not extent:
@@ -503,5 +509,197 @@ def naive_build_complex(program) -> CompiledProgram:
                 collapsed = list(multi_index)
                 collapsed[axis] = (lo + sign, 0)
                 target = tuple(collapsed)
-                faces[(cell, direction, sign)] = Cell(dim - 1, _cell_name(target))
+                faces[(cell, direction, sign)] = kept.get(target) or Cell(cell.dim - 1, _cell_name(target))
     return CompiledProgram(PrecubicalSet(cells, faces), ForbiddenRegion(frozenset(removed)))
+
+
+# ---------------------------------------------------------------------------
+# the checked loader as it was before it read the face table directly: one
+# ``face()`` call per lookup, a new ``Cell`` per face entry, and every face
+# key sorted; the referees of the loader and of both validators
+
+
+def naive_validate(space: PrecubicalSet) -> list[Violation]:
+    """``validate``, one ``face()`` call per lookup and every face key sorted.
+
+    Reported kinds: ``stray-face`` (face entry for an undeclared cell),
+    ``bad-face-index`` (direction or sign out of range), ``missing-face``
+    (the face map is not total), ``dangling-face`` (target undeclared),
+    ``face-dimension`` (target of the wrong dimension), and
+    ``cubical-identity``.
+    """
+    report: list[Violation] = []
+    for (c, i, a) in sorted(k for k, _ in space.face_items()):
+        if c not in space:
+            report.append(Violation("stray-face", f"face entry recorded for unknown cell {c.key!r}", c))
+        elif not (1 <= i <= c.dim) or a not in (0, 1):
+            report.append(Violation(
+                "bad-face-index",
+                f"face ({i},{a}) out of range for cell {c.key!r} of dimension {c.dim}",
+                c,
+            ))
+
+    for c in space.all_cells():
+        for i in range(1, c.dim + 1):
+            for a in (0, 1):
+                try:
+                    t = space.face(c, i, a)
+                except KeyError:
+                    report.append(Violation("missing-face", f"cell {c.key!r} lacks face ({i},{a})", c))
+                    continue
+                if t not in space:
+                    report.append(Violation(
+                        "dangling-face",
+                        f"face ({i},{a}) of {c.key!r} is the undeclared cell {t.key!r}",
+                        c,
+                    ))
+                elif t.dim != c.dim - 1:
+                    report.append(Violation(
+                        "face-dimension",
+                        f"face ({i},{a}) of {c.key!r} has dimension {t.dim}, expected {c.dim - 1}",
+                        c,
+                    ))
+
+    for dim in space.dims():
+        if dim < 2:
+            continue
+        for c in space.cells(dim):
+            for j in range(2, dim + 1):
+                for i in range(1, j):
+                    for a in (0, 1):
+                        for b in (0, 1):
+                            try:
+                                lhs = space.face(space.face(c, j, b), i, a)
+                                rhs = space.face(space.face(c, i, a), j - 1, b)
+                            except KeyError:
+                                continue  # totality failure already reported
+                            if lhs != rhs:
+                                report.append(Violation(
+                                    "cubical-identity",
+                                    f"face(face({c.key!r},{j},{b}),{i},{a}) = {lhs.key!r} "
+                                    f"but face(face({c.key!r},{i},{a}),{j - 1},{b}) = {rhs.key!r}",
+                                    c,
+                                ))
+    return report
+
+
+def naive_validate_morphism(f: PcMorphism) -> list[Violation]:
+    """``validate_morphism``, one ``face()`` call per lookup."""
+    report: list[Violation] = []
+    for c in f.source.all_cells():
+        if c not in f.mapping:
+            report.append(Violation("map-totality", f"source cell {c.key!r} has no image", c))
+            continue
+        d = f.mapping[c]
+        if d not in f.target:
+            report.append(Violation("map-target", f"image {d.key!r} of {c.key!r} is not a target cell", c))
+            continue
+        if d.dim != c.dim:
+            report.append(Violation("map-dimension", f"{c.key!r} of dim {c.dim} maps to {d.key!r} of dim {d.dim}", c))
+            continue
+        for i in range(1, c.dim + 1):
+            for a in (0, 1):
+                try:
+                    lhs = f.mapping.get(f.source.face(c, i, a))
+                    rhs = f.target.face(d, i, a)
+                except KeyError:
+                    report.append(Violation("map-faces", f"cannot resolve faces ({i},{a}) under {c.key!r}", c))
+                    continue
+                if lhs != rhs:
+                    report.append(Violation(
+                        "map-faces",
+                        f"map(face({c.key!r},{i},{a})) != face(map({c.key!r}),{i},{a})",
+                        c,
+                    ))
+    return report
+
+
+def naive_complex_from_data(data, check: bool = True) -> PrecubicalSet:
+    """``complex_from_data``, building a new ``Cell`` for every face entry."""
+    if not isinstance(data, dict) or "cells" not in data:
+        raise InputError("complex JSON must be an object with a 'cells' field")
+    raw_cells = data["cells"]
+    if not isinstance(raw_cells, dict):
+        raise InputError("'cells' must map dimensions to lists of ids")
+    dim_of: dict[str, int] = {}
+    cells: dict[int, list[Cell]] = {}
+    for dim_str, ids in raw_cells.items():
+        try:
+            dim = int(dim_str)
+        except ValueError:
+            raise InputError(f"bad dimension key {dim_str!r}") from None
+        if dim < 0 or not isinstance(ids, list):
+            raise InputError(f"bad cell list under dimension {dim_str!r}")
+        for cid in ids:
+            if not isinstance(cid, str):
+                raise InputError("cell ids must be strings")
+            if cid in dim_of:
+                raise InputError(f"duplicate cell id {cid!r}")
+            dim_of[cid] = dim
+            cells.setdefault(dim, []).append(Cell(dim, cid))
+    raw_faces = data.get("faces") or {}
+    if not isinstance(raw_faces, dict):
+        raise InputError("'faces' must map cell ids to face tables")
+    faces: dict[FaceKey, Cell] = {}
+    for cid, entry in raw_faces.items():
+        if cid not in dim_of:
+            raise InputError(f"faces recorded for unknown cell {cid!r}")
+        dim = dim_of[cid]
+        if not isinstance(entry, dict):
+            raise InputError(f"face table of {cid!r} must be an object")
+        for key, tid in entry.items():
+            try:
+                i_str, a_str = key.split(",")
+                i, a = int(i_str), int(a_str)
+            except ValueError:
+                raise InputError(f"bad face key {key!r} on cell {cid!r}") from None
+            if not isinstance(tid, str):
+                raise InputError(f"face target of {cid!r} must be a string id")
+            tdim = dim_of.get(tid, dim - 1)
+            faces[(Cell(dim, cid), i, a)] = Cell(tdim, tid)
+    try:
+        space = PrecubicalSet(cells, faces)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+    if check:
+        report = naive_validate(space)
+        if report:
+            head = "; ".join(v.message for v in report[:3])
+            raise InputError(f"complex fails validation ({len(report)} violations): {head}")
+    return space
+
+
+def _naive_complex_field(field, base_dir, check: bool) -> PrecubicalSet:
+    if isinstance(field, str):
+        if base_dir is not None and not os.path.isabs(field):
+            field = os.path.join(base_dir, field)
+        return naive_complex_from_data(_load_json(_pure_path(field)), check=check)
+    return naive_complex_from_data(field, check=check)
+
+
+def naive_morphism_from_data(data, base_dir=None, check: bool = True) -> PcMorphism:
+    """``morphism_from_data`` over the naive complex loader."""
+    if not isinstance(data, dict) or not {"source", "target", "map"} <= set(data):
+        raise InputError("morphism JSON needs 'source', 'target' and 'map' fields")
+    if not isinstance(data["map"], dict):
+        raise InputError("'map' must map source cell ids to target cell ids")
+    source = _naive_complex_field(data["source"], base_dir, check)
+    target = _naive_complex_field(data["target"], base_dir, check)
+    by_key_src = {c.key: c for c in source.all_cells()}
+    by_key_tgt = {c.key: c for c in target.all_cells()}
+    mapping: dict[Cell, Cell] = {}
+    for src_id, tgt_id in data["map"].items():
+        if src_id not in by_key_src:
+            raise InputError(f"map key {src_id!r} is not a source cell")
+        if not isinstance(tgt_id, str):
+            raise InputError(f"map value of {src_id!r} must be a string id")
+        if tgt_id not in by_key_tgt:
+            raise InputError(f"map value {tgt_id!r} is not a target cell")
+        mapping[by_key_src[src_id]] = by_key_tgt[tgt_id]
+    f = PcMorphism(source, target, mapping)
+    if check:
+        report = naive_validate_morphism(f)
+        if report:
+            head = "; ".join(v.message for v in report[:3])
+            raise InputError(f"morphism fails validation ({len(report)} violations): {head}")
+    return f

@@ -178,11 +178,12 @@ class TestClasses:
 
     def test_matches_oracle_partition(self, corpus):
         for name, space in corpus:
+            table = oracles.out_table(space)
             for a in space.vertices:
                 for b in space.vertices:
                     for max_len in (0, 3, 5):
                         got = summary(classes(space, a, b, max_len))
-                        want = oracles.class_summary(space, a, b, max_len)
+                        want = oracles.class_summary(space, a, b, max_len, table)
                         assert got == want, (name, a, b, max_len)
 
     def test_partition_order_independent(self, swiss_grid):
@@ -249,10 +250,11 @@ class TestClassSize:
 class TestLongerPathExists:
     def test_matches_oracle(self, corpus):
         for name, space in corpus:
+            table = oracles.out_table(space)
             for a in space.vertices:
                 for b in space.vertices:
                     for max_len in (0, 3, 5):
-                        want = oracles.longer_path_exists(space, a, b, max_len)
+                        want = oracles.longer_path_exists(space, a, b, max_len, table)
                         assert longer_path_exists(space, a, b, max_len) == want, (
                             name, a, b, max_len)
 

@@ -17,12 +17,15 @@ _EXPORTS = {
         "NoLiftError", "PvSemanticError", "PvSyntaxError", "ResourceLimitError",
     ),
     "precubical": (
-        "Cell", "ChainColimit", "Codiagonal", "Coproduct", "PcMorphism",
-        "PrecubicalSet", "Pushout", "Violation", "chain_colimit", "codiagonal",
-        "complex_from_data", "complex_to_data", "compose", "coproduct",
-        "disjoint_union", "edge", "identity", "load_complex", "load_morphism",
-        "morphism_from_data", "morphism_to_data", "pushout", "standard_cube",
-        "tensor", "validate", "validate_morphism", "vertex",
+        "Cell", "PcMorphism", "PrecubicalSet", "Violation", "complex_from_data",
+        "complex_to_data", "compose", "edge", "identity", "load_complex",
+        "load_morphism", "morphism_from_data", "morphism_to_data", "validate",
+        "validate_morphism", "vertex",
+    ),
+    "constructions": (
+        "ChainColimit", "Codiagonal", "Coproduct", "Pushout", "chain_colimit",
+        "codiagonal", "coproduct", "disjoint_union", "pushout", "standard_cube",
+        "tensor",
     ),
     "builders": ("directed_circle", "directed_cycle", "directed_path", "grid"),
     "dipath": (

@@ -18,7 +18,7 @@ import argparse
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
-from .errors import DitopError, InputError, ResourceLimitError
+from .errors import DitopError, ResourceLimitError
 
 DEFAULT_DEPTH = 16
 DEFAULT_BUDGET = 1_000_000
@@ -117,10 +117,7 @@ def _emit(data) -> None:
 def _vertex(space, key: str):
     from .precubical import Cell
 
-    v = Cell(0, key)
-    if v not in space:
-        raise InputError(f"{key!r} is not a vertex of the complex")
-    return v
+    return space.check_vertex(Cell(0, key))
 
 
 def _cmd_validate(args) -> int:
@@ -239,16 +236,9 @@ def _cmd_universal(args) -> int:
 
 def _cmd_pv_compile(args) -> int:
     from . import pv
-    from .precubical import complex_to_data
+    from .precubical import _read_text, complex_to_data
 
-    try:
-        with open(args.file, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {args.file}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{args.file} is not UTF-8 text: {exc}") from None
-    program = pv.parse(text)
+    program = pv.parse(_read_text(args.file))
     compiled = pv.build_complex(program)
     data = complex_to_data(compiled.space)
     data["forbidden"] = pv.forbidden_to_data(compiled.forbidden)
@@ -354,9 +344,6 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"ditop: resource limit: {exc}", file=sys.stderr)
         return 3
-    except InputError as exc:
-        print(f"ditop: {exc}", file=sys.stderr)
-        return 2
     except DitopError as exc:
         print(f"ditop: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,8 @@
 """Constructions on finite precubical sets: generators, products and colimits.
 
 The directed n-cube, the tensor product, disjoint unions and coproducts,
-pushouts, codiagonal folds and finite chain colimits.  ``ditop.precubical``
-and ``ditop`` re-export every name here on first use; no CLI verb loads
-this module.
+pushouts, codiagonal folds and finite chain colimits.  ``ditop``
+re-exports every name here on first use; no CLI verb loads this module.
 """
 
 from __future__ import annotations

@@ -350,15 +350,9 @@ def classes(
     return result
 
 
-def classes_to_data(
-    class_list: Sequence[DihomotopyClass], endpoints: tuple[Cell, Cell] | None = None
-) -> dict:
+def classes_to_data(class_list: Sequence[DihomotopyClass], endpoints: tuple[Cell, Cell]) -> dict:
     from .dipath import path_to_data
 
-    if endpoints is None:
-        if not class_list:
-            raise InputError("cannot infer endpoints of an empty class list")
-        endpoints = class_list[0].endpoints
     a, b = endpoints
     return {
         "endpoints": [a.key, b.key],

@@ -93,9 +93,8 @@ def concat(space: PrecubicalSet, p: EdgePath, q: EdgePath) -> EdgePath:
 
 def check_query(space: PrecubicalSet, a: Cell, b: Cell, max_len: int) -> None:
     """Raise InputError unless a and b are vertices and max_len is not negative."""
-    for v in (a, b):
-        if v.dim != 0 or v not in space:
-            raise InputError(f"{v.key!r} is not a vertex of the complex")
+    space.check_vertex(a)
+    space.check_vertex(b)
     if max_len < 0:
         raise InputError("max_len must be non-negative")
 
@@ -150,24 +149,19 @@ def longer_path_exists(space: PrecubicalSet, a: Cell, b: Cell, max_len: int) -> 
     """Whether some edge path from a to b has more than ``max_len`` edges.
 
     Such paths run through the vertices that are reachable from a and can
-    reach b.  A directed cycle among them gives paths of every greater
-    length; otherwise they form a DAG whose longest a-to-b path is found
-    in topological order.  Linear in the size of the complex.
+    reach b; every vertex on a path between two of them is one too.  A
+    directed cycle among them gives paths of every greater length;
+    otherwise they form a DAG whose longest a-to-b path is found in
+    topological order.  Linear in the size of the complex.
     """
     coreach = distances_to(space, b)
     if a not in coreach:
         return False
+    between = reachable(space, [a]) & coreach.keys()
     heads = {
-        v: [w for w in (space.face(e, 1, 1) for e in space.out_edges(v)) if w in coreach]
-        for v in coreach
+        v: [w for w in (space.face(e, 1, 1) for e in space.out_edges(v)) if w in between]
+        for v in between
     }
-    between = {a}
-    stack = [a]
-    while stack:
-        for w in heads[stack.pop()]:
-            if w not in between:
-                between.add(w)
-                stack.append(w)
     indegree = dict.fromkeys(between, 0)
     for v in between:
         for w in heads[v]:

@@ -61,7 +61,7 @@ class PrecubicalSet:
     complex); semantic soundness is the business of :func:`validate`.
     """
 
-    __slots__ = ("_cells", "_members", "_faces", "_out", "_in", "_rooted")
+    __slots__ = ("_cells", "_members", "_faces", "_in", "_rooted")
 
     def __init__(
         self,
@@ -85,7 +85,6 @@ class PrecubicalSet:
         self._cells = by_dim
         self._members = frozenset(c for cs in by_dim.values() for c in cs)
         self._faces = dict(faces)
-        self._out: dict[Cell, tuple[Cell, ...]] | None = None
         self._in: dict[Cell, tuple[Cell, ...]] | None = None
         self._rooted: dict[int, dict[Cell, tuple[Cell, ...]]] = {}
 
@@ -139,32 +138,30 @@ class PrecubicalSet:
     def face_items(self) -> Iterator[tuple[FaceKey, Cell]]:
         return iter(self._faces.items())
 
-    def _adjacency(self):
-        if self._out is None:
-            out: dict[Cell, list[Cell]] = {v: [] for v in self.vertices}
-            inc: dict[Cell, list[Cell]] = {v: [] for v in self.vertices}
-            for e in self.edges:
-                s = self._faces.get((e, 1, 0))
-                t = self._faces.get((e, 1, 1))
-                if s in out:
-                    out[s].append(e)
-                if t in inc:
-                    inc[t].append(e)
-            self._out = {v: tuple(sorted(es)) for v, es in out.items()}
-            self._in = {v: tuple(sorted(es)) for v, es in inc.items()}
-        return self._out, self._in
+    def check_vertex(self, v: Cell) -> Cell:
+        """``v`` itself; InputError unless it is a vertex of the complex."""
+        if v.dim != 0 or v not in self._members:
+            raise InputError(f"{v.key!r} is not a vertex of the complex")
+        return v
 
     def out_edges(self, v: Cell) -> tuple[Cell, ...]:
-        out, _ = self._adjacency()
-        if v not in out:
-            raise InputError(f"{v.key!r} is not a vertex of the complex")
-        return out[v]
+        return self.rooted(v, 1)
 
     def in_edges(self, v: Cell) -> tuple[Cell, ...]:
-        _, inc = self._adjacency()
-        if v not in inc:
-            raise InputError(f"{v.key!r} is not a vertex of the complex")
-        return inc[v]
+        """The edges ending at ``v``, sorted; grouped by head on first use."""
+        if self._in is None:
+            get = self._faces.get
+            heads: dict[Cell, list[Cell]] = {u: [] for u in self.vertices}
+            for e in self.edges:
+                group = heads.get(get((e, 1, 1)))
+                if group is not None:
+                    group.append(e)
+            self._in = {u: tuple(es) for u, es in heads.items()}
+        try:
+            return self._in[v]
+        except KeyError:
+            self.check_vertex(v)  # every vertex keys the table, so this raises
+            raise
 
     def min_corner(self, c: Cell) -> Cell:
         """The vertex reached by walking every direction to its 0 side."""
@@ -175,20 +172,28 @@ class PrecubicalSet:
     def rooted(self, v: Cell, dim: int) -> tuple[Cell, ...]:
         """The cells of dimension ``dim`` whose minimal corner is ``v``, sorted.
 
-        Dimension 1 is the out-edge table.  Each other dimension is
-        grouped by minimal corner on its first request and kept.
+        Dimension 1 gives the out-edges.  Each dimension is grouped by
+        minimal corner on its first request into a table keyed by every
+        vertex, so a vertex without such cells maps to ``()`` and a key
+        that misses is not a vertex.
         """
-        if dim == 1:
-            return self.out_edges(v)
-        if v.dim != 0 or v not in self._members:
-            raise InputError(f"{v.key!r} is not a vertex of the complex")
         table = self._rooted.get(dim)
         if table is None:
-            groups: dict[Cell, list[Cell]] = {}
+            get = self._faces.get
+            groups: dict[Cell, list[Cell]] = {u: [] for u in self.vertices}
             for c in self.cells(dim):
-                groups.setdefault(self.min_corner(c), []).append(c)
+                corner = c
+                for _ in range(dim):
+                    corner = get((corner, 1, 0))
+                group = groups.get(corner)
+                if group is not None:
+                    group.append(c)
             table = self._rooted[dim] = {u: tuple(cs) for u, cs in groups.items()}
-        return table.get(v, ())
+        try:
+            return table[v]
+        except KeyError:
+            self.check_vertex(v)  # every vertex keys the table, so this raises
+            raise
 
     def corner_edge(self, c: Cell, direction: int) -> Cell:
         """The edge leaving the minimal corner of ``c`` along ``direction``.
@@ -540,14 +545,21 @@ def morphism_from_data(data, base_dir=None, check: bool = True) -> PcMorphism:
     return f
 
 
-def _load_json(path) -> object:
+def _read_text(path) -> str:
+    """The UTF-8 text of the file at ``path``; InputError when it cannot be read."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def _load_json(path) -> object:
+    text = _read_text(path)
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
     except RecursionError:
@@ -561,19 +573,3 @@ def load_complex(path, check: bool = True) -> PrecubicalSet:
 def load_morphism(path, check: bool = True) -> PcMorphism:
     return morphism_from_data(_load_json(path), base_dir=os.path.dirname(path), check=check)
 
-
-# the generators, products and colimits live in ``constructions``, which
-# no CLI verb runs; they load on first use
-_CONSTRUCTIONS = frozenset({
-    "ChainColimit", "Codiagonal", "Coproduct", "Pushout", "chain_colimit",
-    "codiagonal", "coproduct", "disjoint_union", "pushout", "standard_cube", "tensor",
-})
-
-
-def __getattr__(name):
-    if name not in _CONSTRUCTIONS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import constructions
-
-    value = globals()[name] = getattr(constructions, name)
-    return value

@@ -39,7 +39,7 @@ import re
 from typing import NamedTuple
 
 from ._frozen import Frozen, set_field
-from .errors import InputError, PvSemanticError, PvSyntaxError
+from .errors import PvSemanticError, PvSyntaxError
 from .precubical import Cell, FaceKey, PrecubicalSet
 
 
@@ -169,39 +169,13 @@ def parse(text: str) -> PvProgram:
             break
 
     program = PvProgram(resources, processes)
-    _check_semantics(program)
+    hold_intervals(program)  # raises the P/V matching errors
     return program
 
 
 def _end_position(text: str) -> tuple[int, int]:
     lines = text.splitlines() or [""]
     return len(lines), len(lines[-1]) + 1
-
-
-def _check_semantics(program: PvProgram) -> None:
-    for actions in program.processes:
-        held: dict[str, int] = {}
-        for act in actions:
-            if act.resource not in program.resources:
-                raise PvSemanticError(
-                    f"undeclared resource {act.resource!r}", act.line, act.col
-                )
-            count = held.get(act.resource, 0)
-            if act.kind == "P":
-                held[act.resource] = count + 1
-            else:
-                if count == 0:
-                    raise PvSemanticError(
-                        f"release of {act.resource!r} without a matching acquire",
-                        act.line,
-                        act.col,
-                    )
-                held[act.resource] = count - 1
-        for resource, count in held.items():
-            if count:
-                raise PvSemanticError(
-                    f"process ends still holding {resource!r} ({count} open acquire(s))"
-                )
 
 
 def serialize(program: PvProgram) -> str:
@@ -219,18 +193,32 @@ def hold_intervals(program: PvProgram) -> list[dict[str, list[tuple[int, int]]]]
     An acquire performed as action k completes at position k + 1, and
     the matching release as action m completes at m + 1, so the process
     holds the resource on the open interval (k + 1, m + 1); first V
-    matches first outstanding P.
+    matches first outstanding P.  Process by process, raises
+    PvSemanticError at the first action on an undeclared resource or
+    release without an open acquire, then for the first resource the
+    process leaves held.
     """
     result = []
     for actions in program.processes:
         open_since: dict[str, list[int]] = {}
         intervals: dict[str, list[tuple[int, int]]] = {}
         for idx, act in enumerate(actions):
+            if act.resource not in program.resources:
+                raise PvSemanticError(f"undeclared resource {act.resource!r}", act.line, act.col)
+            starts = open_since.setdefault(act.resource, [])
             if act.kind == "P":
-                open_since.setdefault(act.resource, []).append(idx + 1)
+                starts.append(idx + 1)
+            elif starts:
+                intervals.setdefault(act.resource, []).append((starts.pop(0), idx + 1))
             else:
-                start = open_since[act.resource].pop(0)
-                intervals.setdefault(act.resource, []).append((start, idx + 1))
+                raise PvSemanticError(
+                    f"release of {act.resource!r} without a matching acquire", act.line, act.col
+                )
+        for resource, starts in open_since.items():
+            if starts:
+                raise PvSemanticError(
+                    f"process ends still holding {resource!r} ({len(starts)} open acquire(s))"
+                )
         result.append(intervals)
     return result
 
@@ -348,8 +336,7 @@ def top_corner(program: PvProgram) -> str:
 
 def deadlocks(space: PrecubicalSet, final: Cell) -> list[Cell]:
     """Vertices with no outgoing edge, the designated final one excepted."""
-    if final.dim != 0 or final not in space:
-        raise InputError(f"{final.key!r} is not a vertex of the complex")
+    space.check_vertex(final)
     return [v for v in space.vertices if v != final and not space.out_edges(v)]
 
 

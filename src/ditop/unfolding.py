@@ -24,12 +24,11 @@ The iteration stops either at a fixed point (``complete``) or at the
 depth cap; directed loops downstairs make every finite depth
 incomplete, which the result reports rather than hides.
 
-``factor_initial`` runs the same iteration without a seed state and
-therefore performs no attachment at all: the basepoint-free
-factorization of the morphism out of the empty complex has an empty
-middle object, because the empty projection satisfies both lifting
-conditions vacuously.  That degeneracy is recorded honestly; the
-basepointed unfolding is the construction with content.
+``factor_initial`` runs no iteration: the empty projection satisfies
+both lifting conditions vacuously, so it is already a dicovering and
+the basepoint-free factorization of the morphism out of the empty
+complex has an empty middle object.  That degeneracy is recorded
+honestly; the basepointed unfolding is the construction with content.
 """
 
 from __future__ import annotations
@@ -67,8 +66,7 @@ def unfold(space: PrecubicalSet, x0: Cell, depth: int) -> Unfolding:
     from .dihomotopy import DihomotopyClass, reflect
     from .dipath import EdgePath
 
-    if x0.dim != 0 or x0 not in space:
-        raise InputError(f"{x0.key!r} is not a vertex of the complex")
+    space.check_vertex(x0)
     if depth < 0:
         raise InputError("depth must be non-negative")
 
@@ -119,12 +117,11 @@ class InitialFactorization(NamedTuple):
 def factor_initial(space: PrecubicalSet) -> InitialFactorization:
     """Factor the morphism out of the empty complex; the middle is empty.
 
-    The reflection iteration that drives :func:`unfold` is seeded here
-    with no state at all, so no extension or attachment ever fires and
-    the loop exits immediately: every generator needs a vertex to root
-    its lift, and the seed has none.  The left leg is the identity on
-    the empty complex; the right leg is the empty projection, which is
-    (vacuously) a dicovering.
+    The empty projection onto ``space`` has no vertex to lift from, so
+    it satisfies both lifting conditions vacuously and is a dicovering;
+    the middle object is therefore the empty complex, and no iteration
+    runs.  The left leg is the identity on the empty complex; the right
+    leg is the empty projection.
     """
     middle = PrecubicalSet.empty()
     return InitialFactorization(
@@ -177,27 +174,26 @@ def universal_property_suite(
     x0: Cell,
     depth: int,
     catalog: Sequence[PcMorphism],
-    labels: Sequence[str] | None = None,
+    labels: Sequence[str],
     node_budget: int = 1_000_000,
 ) -> SuiteReport:
     """Check the unfolding's projection against a catalog of morphisms.
 
-    Every catalog entry must target the base, which is checked before
-    the unfolding is built.  Each entry is first screened with the
-    basepointed dicovering check; failures are skipped (with their
-    witness).  For each passing entry and each of its basepoint lifts, a
-    unique factorization of the unfolding through the entry must exist.
-    Resource-limit errors are recorded per basepoint without aborting
-    the suite; a negative ``node_budget`` is an InputError.
+    ``labels`` name the catalog entries one to one.  Every catalog entry
+    must target the base, which is checked before the unfolding is
+    built.  Each entry is first screened with the basepointed dicovering
+    check; failures are skipped (with their witness).  For each passing
+    entry and each of its basepoint lifts, a unique factorization of the
+    unfolding through the entry must exist.  Resource-limit errors are
+    recorded per basepoint without aborting the suite; a negative
+    ``node_budget`` is an InputError.
     """
     # the cover check loads here, so that unfolding alone does not compile it
     from .dicovering import check_dicovering, universality_check
 
     if node_budget < 0:
         raise InputError("budget must be non-negative")
-    if labels is None:
-        labels = [f"entry{idx}" for idx in range(len(catalog))]
-    elif len(labels) != len(catalog):
+    if len(labels) != len(catalog):
         raise InputError("labels must match the catalog one to one")
     for label, p in zip(labels, catalog):
         if p.target != space:

@@ -9,8 +9,9 @@ lifts by exhaustive enumeration upstairs, cell lifts by counting every
 upstairs cell at its hand-walked minimal corner, factorizations through
 a projection by backtracking search over its fibres, isomorphisms
 by backtracking over cells, PV state spaces by testing every grid
-cell against every hold interval, and canonical JSON by the standard
-library's own encoder.  The checked loader and both validators are
+cell against every hold interval, P/V matching by counting what each
+process holds, and canonical JSON by the standard library's own
+encoder.  The checked loader and both validators are
 here as they were before the loader read its face table directly: one
 ``face()`` call per lookup and a new ``Cell`` per face entry.  Complex
 surgery that only tests need, such as redirecting one face entry, lives
@@ -28,6 +29,7 @@ from ditop import (
     InputError,
     PcMorphism,
     PrecubicalSet,
+    PvSemanticError,
     ResourceLimitError,
 )
 from ditop.precubical import Violation, _load_json, _pure_path
@@ -452,6 +454,38 @@ def is_isomorphic(
     if descend(0):
         return PcMorphism(x, y, assignment)
     return None
+
+
+def naive_check_semantics(program) -> None:
+    """Raise the first P/V matching error, counting what each process holds.
+
+    Process by process: an action on an undeclared resource or a release
+    with nothing held raises at that action, then the first resource the
+    process still holds raises with its count of open acquires.
+    """
+    for actions in program.processes:
+        held: dict[str, int] = {}
+        for act in actions:
+            if act.resource not in program.resources:
+                raise PvSemanticError(
+                    f"undeclared resource {act.resource!r}", act.line, act.col
+                )
+            count = held.get(act.resource, 0)
+            if act.kind == "P":
+                held[act.resource] = count + 1
+            else:
+                if count == 0:
+                    raise PvSemanticError(
+                        f"release of {act.resource!r} without a matching acquire",
+                        act.line,
+                        act.col,
+                    )
+                held[act.resource] = count - 1
+        for resource, count in held.items():
+            if count:
+                raise PvSemanticError(
+                    f"process ends still holding {resource!r} ({count} open acquire(s))"
+                )
 
 
 def naive_build_complex(program) -> CompiledProgram:

@@ -229,7 +229,7 @@ class TestClasses:
 
     def test_class_report_schema(self, swiss_grid):
         result = classes(swiss_grid, vertex("c00"), vertex("c33"), 6)
-        data = classes_to_data(result)
+        data = classes_to_data(result, endpoints=(vertex("c00"), vertex("c33")))
         assert data["endpoints"] == ["c00", "c33"]
         assert data["count"] == 2
         for entry in data["classes"]:

@@ -124,19 +124,30 @@ class TestStandardCube:
 
 class TestRooted:
     def test_matches_brute_force_grouping(self, corpus):
+        sources = 0
         for name, space in corpus:
             table = oracles.rooted_table(space)
+            heads = {}
+            for e in space.edges:
+                heads.setdefault(space.face(e, 1, 1), []).append(e)
             for v in space.vertices:
                 assert space.rooted(v, 1) == space.out_edges(v), (name, v)
                 assert space.rooted(v, 0) == (v,), (name, v)
                 for dim in range(1, space.dimension + 2):
                     assert list(space.rooted(v, dim)) == table.get((v, dim), []), (name, v, dim)
+                assert list(space.in_edges(v)) == sorted(heads.get(v, [])), (name, v)
+                sources += v not in heads
+        assert sources  # vertices without in-edges are in the table too
 
     def test_rejects_non_vertices(self):
         square = standard_cube(2)
         for v, dim in [(Cell(0, "ghost"), 1), (Cell(0, "ghost"), 2), (Cell(1, "0*"), 2)]:
             with pytest.raises(InputError):
                 square.rooted(v, dim)
+        for lookup in (square.in_edges, square.out_edges):
+            for v in (Cell(0, "ghost"), Cell(1, "0*")):
+                with pytest.raises(InputError, match="is not a vertex of the complex"):
+                    lookup(v)
 
 
 class TestCell:

@@ -207,3 +207,57 @@ def test_build_complex_matches_the_naive_compiler(program):
     assert compiled.forbidden == expected.forbidden
     final = vertex(pv.top_corner(program))
     assert pv.deadlocks(compiled.space, final) == pv.deadlocks(expected.space, final)
+
+
+@st.composite
+def pv_action_lists(draw):
+    """Source text and the program it spells, with every action's position.
+
+    Resources ``a`` and ``b`` are mostly declared and ``c`` never is.  Each
+    process starts as a matched P/V list over ``a`` and ``b`` and then
+    gains or loses a few random actions, so matched processes,
+    undeclared resources, unmatched V, open P and mixes of them occur.
+    """
+    declared = draw(st.sampled_from(["ab", "ab", "ab", "a", "b", ""]))
+    lines = [f"res {name}:1;" for name in declared]
+    processes = []
+    for line in range(len(lines) + 1, len(lines) + 1 + draw(st.integers(1, 3))):
+        words, held = [], []
+        for _ in range(draw(st.integers(1, 3))):
+            held.append(draw(st.sampled_from("ab")))
+            words.append(("P", held[-1]))
+            if draw(st.booleans()):
+                words.append(("V", held.pop(draw(st.integers(0, len(held) - 1)))))
+        words += [("V", resource) for resource in reversed(held)]
+        for _ in range(draw(st.integers(0, 2))):
+            if len(words) > 1 and draw(st.booleans()):
+                del words[draw(st.integers(0, len(words) - 1))]
+            else:
+                action = draw(st.tuples(st.sampled_from("PV"), st.sampled_from("aaabbbc")))
+                words.insert(draw(st.integers(0, len(words))), action)
+        actions, col = [], len("proc ") + 1
+        for kind, resource in words:
+            actions.append(pv.PvAction(kind, resource, line, col))
+            col += len(kind + resource + ".")
+        processes.append(actions)
+        lines.append("proc " + ".".join(kind + resource for kind, resource in words) + ";")
+    return "\n".join(lines), pv.PvProgram(dict.fromkeys(declared, 1), processes)
+
+
+def semantic_error(check, program):
+    try:
+        check(program)
+    except PvSemanticError as exc:
+        return str(exc), exc.line, exc.col
+    return None
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(pv_action_lists())
+def test_pv_matching_errors_match_the_counting_referee(case):
+    text, program = case
+    expected = semantic_error(oracles.naive_check_semantics, program)
+    assert semantic_error(pv.hold_intervals, program) == expected
+    assert semantic_error(pv.parse, text) == expected
+    if expected is None:
+        assert pv.parse(text) == program

@@ -63,6 +63,44 @@ def test_json_is_indented_only_by_the_canonical_emitter():
                 assert None not in keywords, f"{path.name}:{node.lineno} passes **kwargs"
 
 
+def strings_by_function(fragment: str) -> dict[str, set[str]]:
+    """Module -> the functions whose code (docstrings aside) holds ``fragment``."""
+    found: dict[str, set[str]] = {}
+
+    def visit(node, where: str, module: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            return  # a docstring
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and fragment in node.value:
+            found.setdefault(module, set()).add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where, module)
+
+    for path in sorted(SOURCE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), "", path.stem)
+    return found
+
+
+def test_one_function_says_a_cell_is_not_a_vertex():
+    # PrecubicalSet.check_vertex is the one vertex check; every caller and
+    # every corner-table miss goes through it
+    assert strings_by_function("is not a vertex of the complex") == {
+        "precubical": {"PrecubicalSet.check_vertex"},
+    }
+
+
+def test_only_the_package_defines_a_module_getattr():
+    # one lazy-export table, ditop._EXPORTS; a second loader would drift
+    defining = [
+        path.name
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body
+        if isinstance(node, ast.FunctionDef) and node.name == "__getattr__"
+    ]
+    assert defining == ["__init__.py"]
+
+
 # every public name of the package; dropping one is an API change
 PUBLIC_API = [
     "AmbiguousFactorizationError", "AmbiguousLiftError", "BOTTOM_RIGHT", "Cell",
@@ -74,7 +112,7 @@ PUBLIC_API = [
     "ResourceLimitError", "SuiteReport", "Unfolding", "Violation", "apply_move",
     "builders", "chain_colimit", "check_dicovering", "check_path", "classes",
     "classes_to_data", "codiagonal", "complex_from_data", "complex_to_data", "compose",
-    "concat", "coproduct", "cylinder_projection", "dicovering", "dihomotopic",
+    "concat", "constructions", "coproduct", "cylinder_projection", "dicovering", "dihomotopic",
     "dihomotopy", "dipath", "directed_circle", "directed_cycle", "directed_path",
     "disjoint_union", "edge", "elementary_moves", "enumerate_paths", "errors",
     "factor_initial", "fold_map", "grid", "identity", "is_path", "lift_path",
@@ -91,7 +129,7 @@ class TestPublicApi:
     def test_all_is_the_public_api(self):
         import ditop
 
-        assert len(PUBLIC_API) == 92
+        assert len(PUBLIC_API) == 93
         assert ditop.__all__ == PUBLIC_API
 
     def test_star_import_binds_every_name_to_its_module_object(self):

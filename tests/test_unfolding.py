@@ -216,12 +216,12 @@ class TestUniversalPropertySuite:
         for name, space in acyclic_corpus:
             x0 = space.vertices[0]
             catalog = [identity(space), fold_map(space, 2)]
-            report = universal_property_suite(space, x0, 10, catalog)
+            report = universal_property_suite(space, x0, 10, catalog, ["id", "fold2"])
             assert report.passed, name
 
     def test_suite_data_schema(self, swiss_grid):
         catalog = [fold_map(swiss_grid, 2), cylinder_projection(swiss_grid)]
-        report = universal_property_suite(swiss_grid, vertex("c00"), 12, catalog)
+        report = universal_property_suite(swiss_grid, vertex("c00"), 12, catalog, ["fold2", "cylinder"])
         data = suite_to_data(report)
         assert data["passed"] is True
         assert data["basepoint"] == "c00"

@@ -141,13 +141,14 @@ def _cmd_paths(args) -> int:
 
     space = load_complex(args.file)
     a, b = _vertex(space, args.src), _vertex(space, args.dst)
-    found = dipath.enumerate_paths(space, a, b, args.max_len)
+    found = dipath.path_tuples(space, a, b, args.max_len, budget=args.budget)
+    start = a.key
     _emit({
         "from": a.key,
         "to": b.key,
         "count": len(found),
-        "paths": [dipath.path_to_data(p) for p in found],
-        "meta": {"max_len": args.max_len},
+        "paths": [{"start": start, "edges": [e.key for e in edges]} for edges in found],
+        "meta": {"max_len": args.max_len, "budget": args.budget},
     })
     return 0
 
@@ -287,6 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="src", required=True)
     p.add_argument("--to", dest="dst", required=True)
     p.add_argument("--max-len", type=int, default=DEFAULT_MAX_LEN)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(run=_cmd_paths)
 
     p = sub.add_parser("classes", help="classify paths up to dihomotopy")

@@ -112,8 +112,7 @@ def lift_path(problem: LiftProblem) -> EdgePath:
     p = problem.projection
     base, y = problem.base_path, problem.start_lift
     check_path(p.target, base)
-    if y not in p.source or y.dim != 0:
-        raise InputError(f"start lift {y.key!r} is not a vertex upstairs")
+    p.source.check_vertex(y)
     if p(y) != base.start:
         raise InputError(
             f"start lift {y.key!r} sits over {p(y).key!r}, not over {base.start.key!r}"
@@ -149,8 +148,7 @@ def check_dicovering(p: PcMorphism, basepoint: Cell | None = None) -> Dicovering
     if basepoint is None:
         relevant = sorted(Y.vertices)
     else:
-        if basepoint not in X or basepoint.dim != 0:
-            raise InputError(f"basepoint {basepoint.key!r} is not a vertex of the base")
+        X.check_vertex(basepoint)
         relevant = sorted(reachable(Y, [y for y in Y.vertices if p(y) == basepoint]))
 
     for y in relevant:
@@ -258,10 +256,8 @@ def universality_check(
     if pi.target != p.target:
         raise InputError("both morphisms must share their target")
     xt0, y0 = basepoint_lifts
-    if xt0 not in pi.source or xt0.dim != 0:
-        raise InputError(f"{xt0.key!r} is not a vertex of the factoring source")
-    if y0 not in p.source or y0.dim != 0:
-        raise InputError(f"{y0.key!r} is not a vertex upstairs")
+    pi.source.check_vertex(xt0)
+    p.source.check_vertex(y0)
     if pi(xt0) != p(y0):
         raise InputError("basepoint lifts sit over different base vertices")
     Xt, Y = pi.source, p.source

@@ -273,6 +273,7 @@ def reflect(
     """
     dist = None if target is None else distances_to(space, target)
     unreachable = depth + 1
+    heads = space.out_heads
 
     back: list[tuple[int, Cell | None]] = [(0, None)]
     ends = [x0]
@@ -285,8 +286,8 @@ def reflect(
         exts = [
             (u, e)
             for u in stages[level]
-            for e in space.out_edges(ends[u])
-            if dist is None or dist.get(space.face(e, 1, 1), unreachable) <= room
+            for e, head in heads(ends[u])
+            if dist is None or dist.get(head, unreachable) <= room
         ]
         if not exts:
             break

@@ -18,8 +18,10 @@ from collections import deque
 from typing import Iterable, NamedTuple
 
 from ._frozen import Frozen, set_field
-from .errors import EndpointMismatchError, InputError, InvalidPathError
+from .errors import EndpointMismatchError, InputError, InvalidPathError, ResourceLimitError
 from .precubical import Cell, PrecubicalSet
+
+_UNBOUNDED = float("inf")
 
 
 class EdgePath(Frozen):
@@ -106,26 +108,61 @@ def enumerate_paths(space: PrecubicalSet, a: Cell, b: Cell, max_len: int) -> lis
     constant path, when a == b, comes first), duplicate-free by
     construction.
     """
+    return [EdgePath(a, edges) for edges in path_tuples(space, a, b, max_len)]
+
+
+def path_tuples(
+    space: PrecubicalSet, a: Cell, b: Cell, max_len: int, budget: int | None = None
+) -> list[tuple[Cell, ...]]:
+    """The edge tuples of :func:`enumerate_paths`, in the same order.
+
+    The walk pushes an edge only when its head can still reach b within
+    the edges left, as :func:`distances_to` tells, so every pushed edge
+    ends a prefix of some answer and the work is linear in the output
+    (Read and Tarjan, 1975).  ``budget`` caps the edges pushed; running
+    past it raises ResourceLimitError, and a negative one is an
+    InputError.
+    """
     check_query(space, a, b, max_len)
-    found: list[EdgePath] = [EdgePath(a, ())] if a == b else []
+    if budget is None:
+        budget = _UNBOUNDED
+    elif budget < 0:
+        raise InputError("budget must be non-negative")
+    found: list[tuple[Cell, ...]] = [()] if a == b else []
+    dist = distances_to(space, b)
+    far = max_len + 1
+    heads = space.out_heads
     # a depth-first walk on an explicit stack, so path length is not
     # limited by the interpreter's recursion depth; stack[i] iterates the
-    # out-edges at the end of acc[:i], and len(acc) == len(stack) - 1
+    # (edge, head) pairs at the end of acc[:i], len(acc) == len(stack) - 1,
+    # and room is the number of edges a path may still take after the
+    # one the top frame pushes next
     acc: list[Cell] = []
-    stack = [iter(space.out_edges(a))] if max_len else []
+    stack = [iter(heads(a))] if max_len else []
+    room = max_len - 1
+    pushed = 0
     while stack:
-        e = next(stack[-1], None)
-        if e is None:
+        for e, at in stack[-1]:
+            if dist.get(at, far) <= room:
+                break
+        else:
             stack.pop()
             if acc:
                 acc.pop()
+            room += 1
             continue
+        pushed += 1
+        if pushed > budget:
+            raise ResourceLimitError(
+                f"path search exceeded its budget after pushing {budget} edges, "
+                f"at path length {len(acc) + 1}"
+            )
         acc.append(e)
-        at = space.face(e, 1, 1)
         if at == b:
-            found.append(EdgePath(a, tuple(acc)))
-        if len(acc) < max_len:
-            stack.append(iter(space.out_edges(at)))
+            found.append(tuple(acc))
+        if room:
+            stack.append(iter(heads(at)))
+            room -= 1
         else:
             acc.pop()
     return found
@@ -158,10 +195,7 @@ def longer_path_exists(space: PrecubicalSet, a: Cell, b: Cell, max_len: int) -> 
     if a not in coreach:
         return False
     between = reachable(space, [a]) & coreach.keys()
-    heads = {
-        v: [w for w in (space.face(e, 1, 1) for e in space.out_edges(v)) if w in between]
-        for v in between
-    }
+    heads = {v: [w for _, w in space.out_heads(v) if w in between] for v in between}
     indegree = dict.fromkeys(between, 0)
     for v in between:
         for w in heads[v]:
@@ -196,11 +230,11 @@ class Preorder(NamedTuple):
 
 def reachable(space: PrecubicalSet, seeds: Iterable[Cell]) -> set[Cell]:
     """The vertices that some edge path from one of ``seeds`` ends at."""
+    heads = space.out_heads
     seen = set(seeds)
     stack = list(seen)
     while stack:
-        for e in space.out_edges(stack.pop()):
-            nxt = space.face(e, 1, 1)
+        for _, nxt in heads(stack.pop()):
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)

@@ -61,7 +61,7 @@ class PrecubicalSet:
     complex); semantic soundness is the business of :func:`validate`.
     """
 
-    __slots__ = ("_cells", "_members", "_faces", "_in", "_rooted")
+    __slots__ = ("_cells", "_members", "_faces", "_in", "_rooted", "_heads")
 
     def __init__(
         self,
@@ -87,6 +87,7 @@ class PrecubicalSet:
         self._faces = dict(faces)
         self._in: dict[Cell, tuple[Cell, ...]] | None = None
         self._rooted: dict[int, dict[Cell, tuple[Cell, ...]]] = {}
+        self._heads: dict[Cell, tuple[tuple[Cell, Cell], ...]] | None = None
 
     @classmethod
     def empty(cls) -> "PrecubicalSet":
@@ -146,6 +147,26 @@ class PrecubicalSet:
 
     def out_edges(self, v: Cell) -> tuple[Cell, ...]:
         return self.rooted(v, 1)
+
+    def out_heads(self, v: Cell) -> tuple[tuple[Cell, Cell], ...]:
+        """The pairs ``(e, face(e, 1, 1))`` for the out-edges e of ``v``, in order.
+
+        Built on first use from the out-edge table, so forward walks read
+        each head with no face lookup and callers of ``out_edges`` alone
+        never build it.
+        """
+        table = self._heads
+        if table is None:
+            self.out_edges(v)  # builds the out-edge table; raises when v is not a vertex
+            faces = self._faces
+            table = self._heads = {
+                u: tuple([(e, faces[(e, 1, 1)]) for e in es]) for u, es in self._rooted[1].items()
+            }
+        try:
+            return table[v]
+        except KeyError:
+            self.check_vertex(v)  # every vertex keys the table, so this raises
+            raise
 
     def in_edges(self, v: Cell) -> tuple[Cell, ...]:
         """The edges ending at ``v``, sorted; grouped by head on first use."""

@@ -123,20 +123,30 @@ def dfs_paths(space, a, b, max_len, table=None):
 
     ``table`` is ``out_table(space)``, for callers that ask about many pairs.
     """
+    return list(iter_dfs_paths(space, a, b, max_len, table))
+
+
+def iter_dfs_paths(space, a, b, max_len, table=None):
+    """The paths of :func:`dfs_paths`, in the same order, one at a time."""
     if table is None:
         table = out_table(space)
-    found = []
 
     def walk(at, acc):
         if at == b:
-            found.append(tuple(acc))
+            yield tuple(acc)
         if len(acc) == max_len:
             return
         for e, nxt in table[at]:
-            walk(nxt, acc + [e])
+            acc.append(e)
+            yield from walk(nxt, acc)
+            acc.pop()
 
-    walk(a, [])
-    return found
+    return walk(a, [])
+
+
+def prefix_count(paths):
+    """The distinct non-empty prefixes of some edge tuples: what a pruned walk pushes."""
+    return len({p[:k] for p in paths for k in range(1, len(p) + 1)})
 
 
 def closure_pairs(space):
@@ -219,7 +229,7 @@ def longer_path_exists(space, a, b, max_len, table=None):
     edges) would leave a shorter path still longer than max_len.
     """
     bound = max_len + len(space.vertices)
-    return any(len(p) > max_len for p in dfs_paths(space, a, b, bound, table))
+    return any(len(p) > max_len for p in iter_dfs_paths(space, a, b, bound, table))
 
 
 def brute_force_lifts(projection, base_edges, y0):

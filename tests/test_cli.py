@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from ditop import Cell, directed_path, fold_map, grid, pv, standard_cube
+from ditop import Cell, directed_circle, directed_path, fold_map, grid, pv, standard_cube
 from ditop.cli import canonical_json, main
 from ditop.dicovering import cylinder_projection
 from ditop.precubical import complex_to_data, morphism_to_data
@@ -164,12 +164,12 @@ class TestPathVerbs:
         )
         assert code == 3 and "resource limit" in err
 
-    @pytest.mark.parametrize("verb", ["classes", "universal"])
+    @pytest.mark.parametrize("verb", ["paths", "classes", "universal"])
     def test_negative_budget_is_an_input_error(self, run, verb):
         code, out, err = run(*BUDGETED[verb], "--budget", "-1")
         assert (code, out, err) == (2, "", "ditop: budget must be non-negative\n")
 
-    @pytest.mark.parametrize("verb", ["classes", "universal"])
+    @pytest.mark.parametrize("verb", ["paths", "classes", "universal"])
     def test_zero_budget_is_a_resource_limit(self, run, verb):
         # universal reports its budget overrun per basepoint in its output
         code, out, err = run(*BUDGETED[verb], "--budget", "0")
@@ -187,6 +187,49 @@ class TestPathVerbs:
                              "--max-len", "40", "--budget", "1000")
         assert time.perf_counter() - start < 1.0
         assert code == 3 and out == "" and "resource limit" in err
+
+    def test_paths_budget_stops_exponential_work(self, run, tmp_path):
+        # 2^41 - 1 paths o -> o of length at most 40, and nothing to prune
+        path = tmp_path / "bouquet.json"
+        path.write_text(json.dumps({
+            "cells": {"0": ["o"], "1": ["x", "y"]},
+            "faces": {e: {"1,0": "o", "1,1": "o"} for e in ("x", "y")},
+        }))
+        start = time.perf_counter()
+        code, out, err = run("paths", str(path), "--from", "o", "--to", "o",
+                             "--max-len", "40", "--budget", "1000")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == ("ditop: resource limit: path search exceeded its budget "
+                       "after pushing 1000 edges, at path length 38\n")
+
+    @pytest.mark.parametrize("space, a, b, max_len", [
+        (grid(9, 9), "c00", "c01", 12),
+        (grid(9, 9), "c00", "c01", 16),
+        (grid(9, 9), "c00", "c01", 20),
+        (grid(3, 3, holes={(1, 1)}), "c00", "c33", 6),
+        (grid(3, 3, holes={(1, 1)}), "c00", "c33", 8),
+        (grid(3, 3, holes={(1, 1)}), "c33", "c00", 8),
+        (grid(3, 3, holes={(1, 1)}), "c11", "c11", 0),
+        (directed_circle(), "v0", "v0", 5),
+        (standard_cube(3), "000", "111", 3),
+        (standard_cube(3), "000", "011", 3),
+    ])
+    def test_paths_budget_is_exact(self, run, tmp_path, space, a, b, max_len):
+        # a pruned walk pushes each non-empty prefix of an answer path once
+        path = tmp_path / "space.json"
+        path.write_text(canonical_json(complex_to_data(space)))
+        expected = oracles.dfs_paths(space, Cell(0, a), Cell(0, b), max_len)
+        pushes = oracles.prefix_count(expected)
+        argv = ["paths", str(path), "--from", a, "--to", b, "--max-len", str(max_len)]
+        code, out, _ = run(*argv, "--budget", str(pushes))
+        assert code == 0
+        data = json.loads(out)
+        assert [tuple(Cell(1, e) for e in p["edges"]) for p in data["paths"]] == expected
+        assert data["meta"] == {"budget": pushes, "max_len": max_len}
+        if pushes:
+            code, out, err = run(*argv, "--budget", str(pushes - 1))
+            assert (code, out) == (3, "") and err.count("\n") == 1
 
     @pytest.mark.parametrize("verb", ["paths", "classes"])
     def test_path_longer_than_recursion_limit(self, run, tmp_path, verb):
@@ -214,6 +257,7 @@ class TestPathVerbs:
 
 
 BUDGETED = {
+    "paths": ["paths", str(FIXTURES / "swiss.json"), "--from", "c00", "--to", "c33"],
     "classes": ["classes", str(FIXTURES / "swiss.json"), "--from", "c00", "--to", "c33"],
     "universal": ["universal", str(FIXTURES / "swiss.json"), "--base", "c00", "--depth", "4",
                   "--against", str(FIXTURES / "fold2_swiss.json")],

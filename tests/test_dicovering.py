@@ -384,3 +384,21 @@ class TestUniversalityCheck:
         with pytest.raises(InputError):
             universality_check(identity(swiss_grid), identity(grid(2, 2)),
                                (vertex("c00"), vertex("c00")))
+
+
+class TestVertexChecks:
+    """Each vertex argument goes through PrecubicalSet.check_vertex."""
+
+    @pytest.mark.parametrize("bad", [vertex("ghost"), Cell(1, "h00")])
+    def test_every_vertex_argument_is_checked(self, swiss_grid, bad):
+        p = identity(swiss_grid)
+        c00 = vertex("c00")
+        calls = [
+            lambda: lift_path(LiftProblem(p, EdgePath(c00), bad)),
+            lambda: check_dicovering(p, basepoint=bad),
+            lambda: universality_check(p, p, (bad, c00)),
+            lambda: universality_check(p, p, (c00, bad)),
+        ]
+        for call in calls:
+            with pytest.raises(InputError, match="is not a vertex of the complex"):
+                call()

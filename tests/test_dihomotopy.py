@@ -22,7 +22,7 @@ from ditop import (
     standard_cube,
     vertex,
 )
-from ditop.dipath import longer_path_exists
+from ditop.dipath import longer_path_exists, path_tuples
 
 import oracles
 
@@ -276,3 +276,15 @@ def test_classes_and_bound_match_oracles_on_random_grids(problem):
     assert summary(classes(space, a, b, max_len)) == oracles.class_summary(space, a, b, max_len)
     assert longer_path_exists(space, a, b, max_len) == oracles.longer_path_exists(
         space, a, b, max_len)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(grid_problems())
+def test_pruned_walk_matches_the_oracle_and_pushes_only_answer_prefixes(problem):
+    space, a, b, max_len = problem
+    expected = oracles.dfs_paths(space, a, b, max_len)
+    pushes = oracles.prefix_count(expected)
+    assert path_tuples(space, a, b, max_len, budget=pushes) == expected
+    if pushes:
+        with pytest.raises(ResourceLimitError):
+            path_tuples(space, a, b, max_len, budget=pushes - 1)

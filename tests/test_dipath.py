@@ -133,10 +133,14 @@ class TestEnumeratePaths:
 
     def test_oracle_agreement(self, corpus):
         for name, space in corpus:
-            a = space.vertices[0]
-            for b in space.vertices[:3]:
-                found = enumerate_paths(space, a, b, 5)
-                assert [p.edges for p in found] == oracles.dfs_paths(space, a, b, 5), name
+            table = oracles.out_table(space)
+            for a in space.vertices:
+                for b in space.vertices:
+                    expected = oracles.dfs_paths(space, a, b, 5, table)
+                    # a shorter bound too, so the pruning cuts paths that reach b at 5
+                    for m in (3, 5):
+                        found = enumerate_paths(space, a, b, m)
+                        assert [p.edges for p in found] == [q for q in expected if len(q) <= m], (name, a, b, m)
 
     def test_unknown_vertex(self):
         with pytest.raises(InputError):

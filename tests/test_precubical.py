@@ -149,6 +149,28 @@ class TestRooted:
                 with pytest.raises(InputError, match="is not a vertex of the complex"):
                     lookup(v)
 
+    def test_heads_pair_each_out_edge_with_its_head(self, corpus):
+        for name, space in corpus:
+            for v in space.vertices:
+                pairs = [(e, space.face(e, 1, 1)) for e in space.out_edges(v)]
+                assert list(space.out_heads(v)) == pairs, (name, v)
+
+    def test_heads_reject_non_vertices(self):
+        for v in (Cell(0, "ghost"), Cell(1, "0*")):
+            # the first call builds the table, a later one reads it
+            fresh = standard_cube(2)
+            with pytest.raises(InputError, match="is not a vertex of the complex"):
+                fresh.out_heads(v)
+            fresh.out_heads(Cell(0, "00"))
+            with pytest.raises(InputError, match="is not a vertex of the complex"):
+                fresh.out_heads(v)
+
+    def test_out_edges_alone_build_no_heads(self):
+        # the cover check reads out_edges only, so it must not pay for the heads
+        square = standard_cube(2)
+        square.out_edges(Cell(0, "00"))
+        assert square._heads is None
+
 
 class TestCell:
     def test_orders_by_dim_then_key(self):

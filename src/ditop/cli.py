@@ -18,10 +18,9 @@ import argparse
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
-from .errors import DitopError, ResourceLimitError
+from .errors import DEFAULT_BUDGET, DitopError, ResourceLimitError
 
 DEFAULT_DEPTH = 16
-DEFAULT_BUDGET = 1_000_000
 DEFAULT_MAX_LEN = 16
 
 _INFINITY = float("inf")

@@ -33,11 +33,13 @@ from typing import NamedTuple
 
 from ._frozen import Frozen, set_field
 from .errors import (
+    DEFAULT_BUDGET,
     AmbiguousFactorizationError,
     AmbiguousLiftError,
     InputError,
     NoLiftError,
     ResourceLimitError,
+    check_budget,
 )
 from .dipath import EdgePath, check_path, reachable
 from .precubical import (
@@ -237,7 +239,7 @@ def universality_check(
     pi: PcMorphism,
     p: PcMorphism,
     basepoint_lifts: tuple[Cell, Cell],
-    node_budget: int = 1_000_000,
+    node_budget: int = DEFAULT_BUDGET,
 ) -> PcMorphism | None:
     """Lift pi through p from the basepoint lifts: the phi with p . phi = pi.
 
@@ -251,8 +253,10 @@ def universality_check(
     do not fit together into a morphism.  Raises
     AmbiguousFactorizationError when a step has several candidates,
     which means p fails the basepointed dicovering check at pi(xt0), and
-    ResourceLimitError once more than ``node_budget`` cells are lifted.
+    ResourceLimitError once more than ``node_budget`` cells are lifted; a
+    negative ``node_budget`` is an InputError.
     """
+    check_budget(node_budget)
     if pi.target != p.target:
         raise InputError("both morphisms must share their target")
     xt0, y0 = basepoint_lifts

@@ -26,14 +26,12 @@ from collections import deque
 from typing import NamedTuple, Sequence
 
 from ._frozen import Frozen, set_field
-from .errors import InputError, InvalidPathError, ResourceLimitError
-from .dipath import EdgePath, check_path, check_query, distances_to
+from .errors import DEFAULT_BUDGET, InputError, InvalidPathError, ResourceLimitError, check_budget
+from .dipath import EdgePath, check_path, check_query, distances_to, path_to_data
 from .precubical import Cell, PrecubicalSet, _UnionFind
 
 BOTTOM_RIGHT = "bottom-right"
 LEFT_TOP = "left-top"
-
-DEFAULT_BUDGET = 1_000_000
 
 
 class ElementaryMove(NamedTuple):
@@ -92,25 +90,29 @@ def square_words(space: PrecubicalSet, s: Cell) -> dict[str, tuple[Cell, Cell]]:
     }
 
 
-def _word_index(space: PrecubicalSet) -> dict[tuple[Cell, Cell], list[tuple[Cell, str]]]:
-    """Map an adjacent edge pair to the squares (and orientations) it bounds."""
-    index: dict[tuple[Cell, Cell], list[tuple[Cell, str]]] = {}
+def _word_index(space: PrecubicalSet) -> dict[tuple[Cell, Cell], list[tuple]]:
+    """Map an adjacent edge pair to its moves, ``(square, orientation, other word)``.
+
+    The pair bounds the square in that orientation, and a move rewrites
+    it to the other word; (square, orientation) is unique, so sorting
+    orders the moves by it.
+    """
+    index: dict[tuple[Cell, Cell], list[tuple]] = {}
     for s in space.squares:
-        for orientation, word in square_words(space, s).items():
-            index.setdefault(word, []).append((s, orientation))
+        words = square_words(space, s)
+        for orientation, other in ((BOTTOM_RIGHT, LEFT_TOP), (LEFT_TOP, BOTTOM_RIGHT)):
+            index.setdefault(words[orientation], []).append((s, orientation, words[other]))
     for matches in index.values():
         matches.sort()
     return index
 
 
-def _neighbors(space, p: EdgePath, index) -> list[tuple[ElementaryMove, EdgePath]]:
+def _neighbors(p: EdgePath, index) -> list[tuple[ElementaryMove, EdgePath]]:
     out: list[tuple[ElementaryMove, EdgePath]] = []
     for pos in range(len(p.edges) - 1):
         word = (p.edges[pos], p.edges[pos + 1])
-        for s, orientation in index.get(word, ()):
-            words = square_words(space, s)
-            other = LEFT_TOP if orientation == BOTTOM_RIGHT else BOTTOM_RIGHT
-            replaced = p.edges[:pos] + words[other] + p.edges[pos + 2:]
+        for s, orientation, other in index.get(word, ()):
+            replaced = p.edges[:pos] + other + p.edges[pos + 2:]
             out.append((ElementaryMove(pos, s, orientation), EdgePath(p.start, replaced)))
     return out
 
@@ -122,7 +124,7 @@ def elementary_moves(space: PrecubicalSet, p: EdgePath) -> list[tuple[Elementary
     ordered by (position, square, orientation).
     """
     check_path(space, p)
-    return _neighbors(space, p, _word_index(space))
+    return _neighbors(p, _word_index(space))
 
 
 def apply_move(space: PrecubicalSet, p: EdgePath, move: ElementaryMove) -> EdgePath:
@@ -155,6 +157,7 @@ def dihomotopic(
     """
     check_path(space, p)
     check_path(space, q)
+    check_budget(budget)
     if p.start != q.start or len(p.edges) != len(q.edges):
         return None
     if p.edges and space.face(p.edges[-1], 1, 1) != space.face(q.edges[-1], 1, 1):
@@ -169,7 +172,7 @@ def dihomotopic(
         if len(seen) > budget:
             raise ResourceLimitError("dihomotopy search exceeded its budget")
         cur = queue.popleft()
-        for move, nxt in _neighbors(space, cur, index):
+        for move, nxt in _neighbors(cur, index):
             if nxt in seen:
                 continue
             seen.add(nxt)
@@ -195,6 +198,7 @@ def move_components(
     under moves (as any full enumeration between two vertices is), these
     are exactly the dihomotopy classes.
     """
+    check_budget(budget)
     index = _word_index(space)
     pool = set(paths)
     seen: set[EdgePath] = set()
@@ -212,7 +216,7 @@ def move_components(
                 raise ResourceLimitError("component search exceeded its budget")
             cur = queue.popleft()
             component.append(cur)
-            for _, nxt in _neighbors(space, cur, index):
+            for _, nxt in _neighbors(cur, index):
                 if nxt in pool and nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
@@ -238,14 +242,12 @@ class Reflection(NamedTuple):
     stages: list[list[int]]
     ext: dict[tuple[int, Cell], int]
 
-    def canonical(self, i: int) -> EdgePath:
-        """The least path of state i, in time linear in its length."""
-        edges = []
-        while i:
-            i, e = self.back[i]
-            edges.append(e)
-        edges.reverse()
-        return EdgePath(self.x0, tuple(edges))
+    def least_paths(self) -> list[tuple[Cell, ...]]:
+        """The edges of every state's least path, each one edge past its parent's."""
+        paths: list[tuple[Cell, ...]] = [()]
+        for u, e in self.back[1:]:
+            paths.append(paths[u] + (e,))
+        return paths
 
 
 def reflect(
@@ -339,11 +341,11 @@ def classes(
     InputError.
     """
     check_query(space, a, b, max_len)
-    if budget < 0:
-        raise InputError("budget must be non-negative")
+    check_budget(budget)
     r = reflect(space, a, max_len, target=b, budget=budget)
+    paths = r.least_paths()
     result = [
-        DihomotopyClass((a, b), r.canonical(i), count=r.counts[i])
+        DihomotopyClass((a, b), EdgePath(a, paths[i]), count=r.counts[i])
         for i, end in enumerate(r.ends)
         if end == b
     ]
@@ -352,8 +354,6 @@ def classes(
 
 
 def classes_to_data(class_list: Sequence[DihomotopyClass], endpoints: tuple[Cell, Cell]) -> dict:
-    from .dipath import path_to_data
-
     a, b = endpoints
     return {
         "endpoints": [a.key, b.key],

@@ -18,7 +18,9 @@ from collections import deque
 from typing import Iterable, NamedTuple
 
 from ._frozen import Frozen, set_field
-from .errors import EndpointMismatchError, InputError, InvalidPathError, ResourceLimitError
+from .errors import (
+    EndpointMismatchError, InputError, InvalidPathError, ResourceLimitError, check_budget,
+)
 from .precubical import Cell, PrecubicalSet
 
 _UNBOUNDED = float("inf")
@@ -126,8 +128,7 @@ def path_tuples(
     check_query(space, a, b, max_len)
     if budget is None:
         budget = _UNBOUNDED
-    elif budget < 0:
-        raise InputError("budget must be non-negative")
+    check_budget(budget)
     found: list[tuple[Cell, ...]] = [()] if a == b else []
     dist = distances_to(space, b)
     far = max_len + 1
@@ -169,13 +170,18 @@ def path_tuples(
 
 
 def distances_to(space: PrecubicalSet, b: Cell) -> dict[Cell, int]:
-    """Fewest edges from each vertex that can reach b to b (reverse BFS)."""
+    """Fewest edges from each vertex that can reach b to b (BFS back over ``out_heads``)."""
+    space.check_vertex(b)
+    heads = space.out_heads
+    preds: dict[Cell, list[Cell]] = {}
+    for u in space.vertices:
+        for _, w in heads(u):
+            preds.setdefault(w, []).append(u)
     dist = {b: 0}
     queue = deque([b])
     while queue:
         v = queue.popleft()
-        for e in space.in_edges(v):
-            u = space.face(e, 1, 0)
+        for u in preds.get(v, ()):
             if u not in dist:
                 dist[u] = dist[v] + 1
                 queue.append(u)
@@ -257,7 +263,7 @@ def path_to_data(p: EdgePath) -> dict:
     return {"start": p.start.key, "edges": [e.key for e in p.edges]}
 
 
-def path_from_data(data, space: PrecubicalSet, check: bool = True) -> EdgePath:
+def path_from_data(data, space: PrecubicalSet) -> EdgePath:
     if not isinstance(data, dict) or "start" not in data:
         raise InputError("path JSON must be an object with a 'start' field")
     by_key = {c.key: c for c in space.all_cells()}
@@ -268,13 +274,9 @@ def path_from_data(data, space: PrecubicalSet, check: bool = True) -> EdgePath:
         raise InputError(f"path references unknown cell {exc.args[0]!r}") from None
     try:
         p = EdgePath(start, edges)
+        check_path(space, p)
     except InvalidPathError as exc:
         raise InputError(str(exc)) from None
-    if check:
-        try:
-            check_path(space, p)
-        except InvalidPathError as exc:
-            raise InputError(str(exc)) from None
     return p
 
 

@@ -15,6 +15,15 @@ class ResourceLimitError(DitopError):
     """A configured search budget ran out before an answer was reached."""
 
 
+DEFAULT_BUDGET = 1_000_000  # of every bounded search, in the units it counts
+
+
+def check_budget(budget) -> None:
+    """Raise InputError when a search budget is negative."""
+    if budget < 0:
+        raise InputError("budget must be non-negative")
+
+
 class EndpointMismatchError(InputError):
     """Two paths were combined whose endpoints do not meet."""
 

@@ -61,7 +61,7 @@ class PrecubicalSet:
     complex); semantic soundness is the business of :func:`validate`.
     """
 
-    __slots__ = ("_cells", "_members", "_faces", "_in", "_rooted", "_heads")
+    __slots__ = ("_cells", "_members", "_faces", "_rooted", "_heads")
 
     def __init__(
         self,
@@ -85,7 +85,6 @@ class PrecubicalSet:
         self._cells = by_dim
         self._members = frozenset(c for cs in by_dim.values() for c in cs)
         self._faces = dict(faces)
-        self._in: dict[Cell, tuple[Cell, ...]] | None = None
         self._rooted: dict[int, dict[Cell, tuple[Cell, ...]]] = {}
         self._heads: dict[Cell, tuple[tuple[Cell, Cell], ...]] | None = None
 
@@ -164,22 +163,6 @@ class PrecubicalSet:
             }
         try:
             return table[v]
-        except KeyError:
-            self.check_vertex(v)  # every vertex keys the table, so this raises
-            raise
-
-    def in_edges(self, v: Cell) -> tuple[Cell, ...]:
-        """The edges ending at ``v``, sorted; grouped by head on first use."""
-        if self._in is None:
-            get = self._faces.get
-            heads: dict[Cell, list[Cell]] = {u: [] for u in self.vertices}
-            for e in self.edges:
-                group = heads.get(get((e, 1, 1)))
-                if group is not None:
-                    group.append(e)
-            self._in = {u: tuple(es) for u, es in heads.items()}
-        try:
-            return self._in[v]
         except KeyError:
             self.check_vertex(v)  # every vertex keys the table, so this raises
             raise
@@ -591,6 +574,6 @@ def load_complex(path, check: bool = True) -> PrecubicalSet:
     return complex_from_data(_load_json(path), check=check)
 
 
-def load_morphism(path, check: bool = True) -> PcMorphism:
-    return morphism_from_data(_load_json(path), base_dir=os.path.dirname(path), check=check)
+def load_morphism(path) -> PcMorphism:
+    return morphism_from_data(_load_json(path), base_dir=os.path.dirname(path))
 

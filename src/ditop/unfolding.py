@@ -35,7 +35,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .errors import AmbiguousFactorizationError, InputError, ResourceLimitError
+from .errors import (
+    DEFAULT_BUDGET, AmbiguousFactorizationError, InputError, ResourceLimitError, check_budget,
+)
 from .precubical import (
     Cell,
     PcMorphism,
@@ -72,14 +74,12 @@ def unfold(space: PrecubicalSet, x0: Cell, depth: int) -> Unfolding:
 
     r = reflect(space, x0, depth)
     ends, ext = r.ends, r.ext
-    canon = [EdgePath(x0)]
-    for u, e in r.back[1:]:
-        canon.append(EdgePath(x0, canon[u].edges + (e,)))
+    paths = r.least_paths()
     complete = all(not space.out_edges(ends[u]) for u in r.stages[-1])
 
     # assemble the total complex: state t is the vertex s{t}, and each
     # n-cell c of X rooted at its end lifts to s{t}|{c} within the depth
-    vertices = [Cell(0, f"s{t}") for t in range(len(canon))]
+    vertices = [Cell(0, f"s{t}") for t in range(len(paths))]
 
     def lifted(t: int, c: Cell) -> Cell:
         return Cell(c.dim, f"s{t}|{c.key}") if c.dim else vertices[t]
@@ -88,8 +88,8 @@ def unfold(space: PrecubicalSet, x0: Cell, depth: int) -> Unfolding:
     faces: dict[tuple[Cell, int, int], Cell] = {}
     proj: dict[Cell, Cell] = dict(zip(vertices, ends))
     for dim in range(1, space.dimension + 1):
-        for t, path in enumerate(canon):
-            if path.length + dim > depth:
+        for t, path in enumerate(paths):
+            if len(path) + dim > depth:
                 continue
             for c in space.rooted(ends[t], dim):
                 cc = lifted(t, c)
@@ -103,7 +103,7 @@ def unfold(space: PrecubicalSet, x0: Cell, depth: int) -> Unfolding:
     total = PrecubicalSet(cells, faces)
     projection = PcMorphism(total, space, proj)
     states = {
-        v: DihomotopyClass((x0, ends[t]), canon[t], count=r.counts[t])
+        v: DihomotopyClass((x0, ends[t]), EdgePath(x0, paths[t]), count=r.counts[t])
         for t, v in enumerate(vertices)
     }
     return Unfolding(total, projection, states, complete, depth, vertices[0])
@@ -175,7 +175,7 @@ def universal_property_suite(
     depth: int,
     catalog: Sequence[PcMorphism],
     labels: Sequence[str],
-    node_budget: int = 1_000_000,
+    node_budget: int = DEFAULT_BUDGET,
 ) -> SuiteReport:
     """Check the unfolding's projection against a catalog of morphisms.
 
@@ -191,8 +191,7 @@ def universal_property_suite(
     # the cover check loads here, so that unfolding alone does not compile it
     from .dicovering import check_dicovering, universality_check
 
-    if node_budget < 0:
-        raise InputError("budget must be non-negative")
+    check_budget(node_budget)
     if len(labels) != len(catalog):
         raise InputError("labels must match the catalog one to one")
     for label, p in zip(labels, catalog):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 
 from ditop import (
     AmbiguousFactorizationError,
@@ -147,6 +148,21 @@ def iter_dfs_paths(space, a, b, max_len, table=None):
 def prefix_count(paths):
     """The distinct non-empty prefixes of some edge tuples: what a pruned walk pushes."""
     return len({p[:k] for p in paths for k in range(1, len(p) + 1)})
+
+
+def distances_to(space, b):
+    """Fewest edges to b from each vertex that reaches it: a BFS rescanning the face table per level."""
+    ends = {}
+    for (e, i, a), t in space.face_items():
+        if e.dim == 1 and i == 1:
+            ends.setdefault(e, [None, None])[a] = t
+    dist = {b: 0}
+    frontier, level = {b}, 0
+    while frontier:
+        level += 1
+        frontier = {tail for tail, head in ends.values() if head in frontier and tail not in dist}
+        dist.update(dict.fromkeys(frontier, level))
+    return dist
 
 
 def closure_pairs(space):
@@ -411,12 +427,15 @@ def is_isomorphic(
     if {d: len(x.cells(d)) for d in x.dims()} != {d: len(y.cells(d)) for d in y.dims()}:
         return None
 
-    def profile(space: PrecubicalSet, v: Cell) -> tuple[int, int]:
-        return (len(space.out_edges(v)), len(space.in_edges(v)))
+    def profiles(space: PrecubicalSet) -> dict[Cell, tuple[int, int]]:
+        """(out-degree, in-degree) of every vertex, the in-degrees counted in one pass."""
+        into = Counter(space.face(e, 1, 1) for e in space.edges)
+        return {v: (len(space.out_edges(v)), into[v]) for v in space.vertices}
 
+    x_profile = profiles(x)
     y_by_profile: dict[tuple[int, int], list[Cell]] = {}
-    for v in y.vertices:
-        y_by_profile.setdefault(profile(y, v), []).append(v)
+    for v, key in profiles(y).items():
+        y_by_profile.setdefault(key, []).append(v)
 
     y_by_faces: dict[int, dict[tuple[Cell, ...], list[Cell]]] = {}
     for dim in y.dims():
@@ -442,7 +461,7 @@ def is_isomorphic(
             return True
         c = xs[idx]
         if c.dim == 0:
-            candidates = y_by_profile.get(profile(x, c), [])
+            candidates = y_by_profile.get(x_profile[c], [])
         else:
             sig = tuple(
                 assignment[x.face(c, i, a)]

@@ -11,6 +11,7 @@ from ditop.precubical import complex_to_data, morphism_to_data
 
 import oracles
 from conftest import SWISS_PV
+from test_dicovering import _double_cover_missing
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -300,6 +301,19 @@ class TestCoverVerbs:
         data = json.loads(out)
         assert data["dicovering"] is False
         assert data["witness"]["kind"] == "edge" and data["witness"]["count"] == 2
+
+    def test_check_cover_cell_witness(self, run, tmp_path):
+        # the second sheet of the double cover lacks its square
+        path = tmp_path / "missing.json"
+        data = morphism_to_data(_double_cover_missing(grid(1, 1), [Cell(2, "s00")]))
+        path.write_text(canonical_json(data) + "\n")
+        code, out, _ = run("check-cover", str(path))
+        assert code == 1
+        assert json.loads(out)["witness"] == {
+            "kind": "cell", "cell": "s00", "dim": 2, "corner": "1:c00", "count": 0,
+        }
+        code, out, _ = run("check-cover", str(path), "--base", "c11")
+        assert code == 0 and json.loads(out)["dicovering"] is True
 
     def test_check_cover_basepointed(self, run, fold2_file):
         code, out, _ = run("check-cover", fold2_file, "--base", "c00")

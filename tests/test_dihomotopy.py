@@ -17,9 +17,12 @@ from ditop import (
     elementary_moves,
     enumerate_paths,
     grid,
+    identity,
     move_components,
     path_from_data,
     standard_cube,
+    universal_property_suite,
+    universality_check,
     vertex,
 )
 from ditop.dipath import longer_path_exists, path_tuples
@@ -129,8 +132,12 @@ class TestDihomotopic:
     def test_endpoint_mismatch_is_false(self):
         space = grid(2, 1)
         p = EdgePath(vertex("c00"), (Cell(1, "h00"),))
-        q = EdgePath(vertex("c00"), (Cell(1, "v00"),))
-        assert dihomotopic(space, p, q) is None
+        for q in (
+            EdgePath(vertex("c00"), (Cell(1, "v00"),)),  # another end
+            EdgePath(vertex("c10"), (Cell(1, "h10"),)),  # another start
+            EdgePath(vertex("c00"), (Cell(1, "h00"), Cell(1, "h10"))),  # another length
+        ):
+            assert dihomotopic(space, p, q) is None
 
     def test_equivalence_relation(self, swiss_grid):
         a, b = vertex("c00"), vertex("c22")
@@ -155,6 +162,42 @@ class TestDihomotopic:
         paths = enumerate_paths(swiss_grid, a, b, 6)
         with pytest.raises(ResourceLimitError):
             dihomotopic(swiss_grid, paths[0], paths[-1], budget=2)
+
+
+class TestMoveComponents:
+    def test_budget_counts_paths_expanded(self, swiss_grid):
+        paths = enumerate_paths(swiss_grid, vertex("c00"), vertex("c33"), 6)
+        assert len(move_components(swiss_grid, paths, budget=len(paths))) == 2
+        for budget in (len(paths) - 1, 0):
+            with pytest.raises(ResourceLimitError, match="component search exceeded its budget"):
+                move_components(swiss_grid, paths, budget=budget)
+        assert move_components(swiss_grid, [], budget=0) == []
+
+
+def budgeted_searches(space):
+    """Every bounded search of the library on one small problem, by name."""
+    a, b = vertex("c00"), vertex("c33")
+    paths = enumerate_paths(space, a, b, 6)
+    pi = identity(space)
+    return {
+        "path_tuples": lambda n: path_tuples(space, a, b, 6, budget=n),
+        "classes": lambda n: classes(space, a, b, 6, budget=n),
+        "dihomotopic": lambda n: dihomotopic(space, paths[0], paths[-1], budget=n),
+        "move_components": lambda n: move_components(space, paths, budget=n),
+        "universality_check": lambda n: universality_check(pi, pi, (a, a), node_budget=n),
+        "universal_property_suite": lambda n: universal_property_suite(
+            space, a, 6, [pi], ["id"], node_budget=n),
+    }
+
+
+@pytest.mark.parametrize("name", [
+    "path_tuples", "classes", "dihomotopic", "move_components", "universality_check",
+    "universal_property_suite",
+])
+def test_negative_budget_is_an_input_error(swiss_grid, name):
+    search = budgeted_searches(swiss_grid)[name]
+    with pytest.raises(InputError, match="^budget must be non-negative$"):
+        search(-1)
 
 
 class TestClasses:

@@ -23,6 +23,7 @@ from ditop import (
     standard_cube,
     vertex,
 )
+from ditop.dipath import distances_to
 
 import oracles
 
@@ -147,6 +148,23 @@ class TestEnumeratePaths:
             enumerate_paths(standard_cube(1), vertex("bogus"), vertex("1"), 2)
 
 
+class TestDistancesTo:
+    def test_matches_a_scan_of_the_face_table(self, corpus):
+        for name, space in corpus:
+            for b in space.vertices:
+                assert distances_to(space, b) == oracles.distances_to(space, b), (name, b)
+
+    def test_rejects_non_vertices(self):
+        for b in (Cell(0, "ghost"), Cell(1, "0*")):
+            # the first call fails before the tables are built, a later one after
+            fresh = standard_cube(2)
+            with pytest.raises(InputError, match="is not a vertex of the complex"):
+                distances_to(fresh, b)
+            distances_to(fresh, vertex("11"))
+            with pytest.raises(InputError, match="is not a vertex of the complex"):
+                distances_to(fresh, b)
+
+
 class TestReachability:
     def test_arrow(self):
         po = reachability_preorder(standard_cube(1))
@@ -155,6 +173,7 @@ class TestReachability:
             (vertex("0"), vertex("1")),
             (vertex("1"), vertex("1")),
         })
+        assert po.leq(vertex("0"), vertex("1")) and not po.leq(vertex("1"), vertex("0"))
 
     def test_cycle_collapses(self):
         po = reachability_preorder(directed_cycle(3))
@@ -184,8 +203,9 @@ class TestSerialization:
         assert path_from_data(path_to_data(p), space) == p
 
     def test_bad_reference(self):
-        with pytest.raises(InputError):
-            path_from_data({"start": "nowhere", "edges": []}, standard_cube(1))
+        for data in ({"start": "nowhere", "edges": []}, ["0"], {"start": "*", "edges": []}):
+            with pytest.raises(InputError):
+                path_from_data(data, standard_cube(1))
 
     def test_incidence_checked(self):
         space = directed_path(2)

@@ -90,6 +90,22 @@ def test_one_function_says_a_cell_is_not_a_vertex():
     }
 
 
+def test_one_module_sets_the_default_budget():
+    # errors.DEFAULT_BUDGET is the one default of every bounded search, and
+    # errors.check_budget the one check that a budget is not negative
+    assigned, literals = [], []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if any(isinstance(t, ast.Name) and t.id == "DEFAULT_BUDGET" for t in targets):
+                    assigned.append(path.stem)
+            elif isinstance(node, ast.Constant) and node.value == 1_000_000:
+                literals.append(path.stem)
+    assert assigned == literals == ["errors"]
+    assert strings_by_function("budget must be non-negative") == {"errors": {"check_budget"}}
+
+
 def test_only_the_package_defines_a_module_getattr():
     # one lazy-export table, ditop._EXPORTS; a second loader would drift
     defining = [

@@ -158,12 +158,17 @@ def _cmd_classes(args) -> int:
 
     space = load_complex(args.file)
     a, b = _vertex(space, args.src), _vertex(space, args.dst)
-    class_list = dihomotopy.classes(space, a, b, args.max_len, budget=args.budget)
+    coreach = dipath.distances_to(space, b)
+    class_list = dihomotopy.classes(
+        space, a, b, args.max_len, budget=args.budget, coreach=coreach
+    )
     data = dihomotopy.classes_to_data(class_list, endpoints=(a, b))
     data["meta"] = {
         "max_len": args.max_len,
         "budget": args.budget,
-        "length_bound_saturated": dipath.longer_path_exists(space, a, b, args.max_len),
+        "length_bound_saturated": dipath.longer_path_exists(
+            space, a, b, args.max_len, coreach=coreach
+        ),
     }
     _emit(data)
     return 0
@@ -184,9 +189,9 @@ def _cmd_unfold(args) -> int:
 
     space = load_complex(args.file)
     x0 = _vertex(space, args.base)
-    u = unfold(space, x0, args.depth)
+    u = unfold(space, x0, args.depth, budget=args.budget)
     data = unfolding_to_data(u)
-    data["meta"] = {"depth": args.depth}
+    data["meta"] = {"depth": args.depth, "budget": args.budget}
     if args.out:
         text = canonical_json(data)
         try:
@@ -306,6 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--base", required=True)
     p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--out")
     p.set_defaults(run=_cmd_unfold)
 

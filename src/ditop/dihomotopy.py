@@ -14,8 +14,9 @@ One reflection engine, :func:`reflect`, computes the classes of the
 paths out of a vertex level by level (level = path length) without
 listing the paths: it extends each class by one edge and merges
 extensions that differ by a move on their last two edges.  Each class
-keeps its canonical representative, the lexicographically least member,
-and its path count.  :func:`classes` reads the classes between two
+keeps its path count and a back pointer, the class and edge whose
+extension is its canonical representative, the lexicographically least
+member.  :func:`classes` reads the classes between two
 vertices off that engine, and ``unfolding.unfold`` builds the universal
 dicovering on it.
 """
@@ -242,12 +243,14 @@ class Reflection(NamedTuple):
     stages: list[list[int]]
     ext: dict[tuple[int, Cell], int]
 
-    def least_paths(self) -> list[tuple[Cell, ...]]:
-        """The edges of every state's least path, each one edge past its parent's."""
-        paths: list[tuple[Cell, ...]] = [()]
-        for u, e in self.back[1:]:
-            paths.append(paths[u] + (e,))
-        return paths
+    def least_path(self, i: int) -> tuple[Cell, ...]:
+        """The edges of state i's least path, read back along its parents."""
+        edges = []
+        while i:
+            i, e = self.back[i]
+            edges.append(e)
+        edges.reverse()
+        return tuple(edges)
 
 
 def reflect(
@@ -256,6 +259,7 @@ def reflect(
     depth: int,
     target: Cell | None = None,
     budget: int | None = None,
+    coreach: dict[Cell, int] | None = None,
 ) -> Reflection:
     """Classify the paths out of ``x0`` of length at most ``depth``.
 
@@ -270,10 +274,13 @@ def reflect(
     still be reached from its end within ``depth`` edges in all.  Both
     paths of a move share their endpoints and length, so no merge among
     such paths is lost and the states over the target are those of the
-    unpruned run.  ``budget`` caps the number of extensions made, checked
-    at every level.
+    unpruned run.  ``coreach`` is ``distances_to(space, target)`` when the
+    caller has built it already.  ``budget`` caps the number of
+    extensions made, checked at every level.
     """
-    dist = None if target is None else distances_to(space, target)
+    dist = coreach
+    if target is not None and dist is None:
+        dist = distances_to(space, target)
     unreachable = depth + 1
     heads = space.out_heads
 
@@ -299,8 +306,6 @@ def reflect(
                 f"class search exceeded its budget at path length {level + 1}"
             )
         uf = _UnionFind()
-        for item in exts:
-            uf.find(item)
         if level >= 1:
             for t in stages[level - 1]:
                 for s in space.rooted(ends[t], 2):
@@ -309,9 +314,11 @@ def reflect(
                     if dist is not None and dist.get(space.face(top, 1, 1), unreachable) > room:
                         continue
                     uf.union((ext[(t, left)], top), (ext[(t, bottom)], right))
+        # an extension no square touches is a class of its own
+        merged = uf.parent
         groups: dict[tuple[int, Cell], list[tuple[int, Cell]]] = {}
         for item in exts:
-            groups.setdefault(uf.find(item), []).append(item)
+            groups.setdefault(uf.find(item) if item in merged else item, []).append(item)
         # The states of a level are numbered in order of their least paths
         # and out-edges are sorted, so exts runs in order of least path:
         # each group's first item gives its least path, and the groups
@@ -330,7 +337,12 @@ def reflect(
 
 
 def classes(
-    space: PrecubicalSet, a: Cell, b: Cell, max_len: int, budget: int = DEFAULT_BUDGET
+    space: PrecubicalSet,
+    a: Cell,
+    b: Cell,
+    max_len: int,
+    budget: int = DEFAULT_BUDGET,
+    coreach: dict[Cell, int] | None = None,
 ) -> list[DihomotopyClass]:
     """Dihomotopy classes of the paths from a to b of length at most max_len.
 
@@ -338,14 +350,14 @@ def classes(
     canonical representative; each carries its path count, not its
     members.  ``budget`` caps the (state, edge) extensions made, and
     running past it raises ResourceLimitError; a negative one is an
-    InputError.
+    InputError.  ``coreach`` is ``distances_to(space, b)`` when the
+    caller has built it already.
     """
     check_query(space, a, b, max_len)
     check_budget(budget)
-    r = reflect(space, a, max_len, target=b, budget=budget)
-    paths = r.least_paths()
+    r = reflect(space, a, max_len, target=b, budget=budget, coreach=coreach)
     result = [
-        DihomotopyClass((a, b), EdgePath(a, paths[i]), count=r.counts[i])
+        DihomotopyClass((a, b), EdgePath(a, r.least_path(i)), count=r.counts[i])
         for i, end in enumerate(r.ends)
         if end == b
     ]

@@ -188,16 +188,20 @@ def distances_to(space: PrecubicalSet, b: Cell) -> dict[Cell, int]:
     return dist
 
 
-def longer_path_exists(space: PrecubicalSet, a: Cell, b: Cell, max_len: int) -> bool:
+def longer_path_exists(
+    space: PrecubicalSet, a: Cell, b: Cell, max_len: int, coreach: dict[Cell, int] | None = None
+) -> bool:
     """Whether some edge path from a to b has more than ``max_len`` edges.
 
     Such paths run through the vertices that are reachable from a and can
     reach b; every vertex on a path between two of them is one too.  A
     directed cycle among them gives paths of every greater length;
     otherwise they form a DAG whose longest a-to-b path is found in
-    topological order.  Linear in the size of the complex.
+    topological order.  Linear in the size of the complex.  ``coreach``
+    is ``distances_to(space, b)`` when the caller has built it already.
     """
-    coreach = distances_to(space, b)
+    if coreach is None:
+        coreach = distances_to(space, b)
     if a not in coreach:
         return False
     between = reachable(space, [a]) & coreach.keys()

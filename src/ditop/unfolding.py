@@ -15,7 +15,8 @@ stage = path length:
      (union-find over extension pairs), so states stay dihomotopy
      classes;
 
-each state carries its least path and its path count.  This module
+each state carries its path count and a back pointer, the state and
+edge whose extension is its least path.  This module
 assembles the total complex from the states: one edge per extension,
 and one n-cell per (state, n-cell rooted at its end) within the depth;
 the squares among them witness the merges.
@@ -33,7 +34,8 @@ honestly; the basepointed unfolding is the construction with content.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from collections.abc import Iterator, Mapping
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import (
     DEFAULT_BUDGET, AmbiguousFactorizationError, InputError, ResourceLimitError, check_budget,
@@ -47,39 +49,86 @@ from .precubical import (
 
 if TYPE_CHECKING:
     from .dicovering import DicoveringVerdict
-    from .dihomotopy import DihomotopyClass
+    from .dihomotopy import DihomotopyClass, Reflection
+
+
+def _state_vertices(n: int) -> list[Cell]:
+    """The vertices of the total complex: state t is the vertex ``s{t}``."""
+    return [Cell(0, f"s{t}") for t in range(n)]
+
+
+class StateClasses(Mapping):
+    """Each state vertex's dihomotopy class, built from its back pointers when read."""
+
+    __slots__ = ("_r", "_vertices", "_ids")
+
+    def __init__(self, r: Reflection):
+        self._r = r
+        self._vertices = _state_vertices(len(r.back))
+        self._ids: dict[Cell, int] | None = None
+
+    def __len__(self) -> int:
+        return len(self._vertices)
+
+    def __iter__(self) -> Iterator[Cell]:
+        return iter(self._vertices)
+
+    def __getitem__(self, v: Cell) -> DihomotopyClass:
+        from .dihomotopy import DihomotopyClass
+        from .dipath import EdgePath
+
+        if self._ids is None:
+            self._ids = {w: t for t, w in enumerate(self._vertices)}
+        t, r = self._ids[v], self._r
+        return DihomotopyClass(
+            (r.x0, r.ends[t]), EdgePath(r.x0, r.least_path(t)), count=r.counts[t]
+        )
 
 
 class Unfolding(NamedTuple):
+    """The total complex and its projection, over the reflection they come from.
+
+    State t of ``reflection`` is the vertex ``s{t}``, and ``root`` is s0.
+    """
+
     total: PrecubicalSet
     projection: PcMorphism
-    states: Mapping[Cell, DihomotopyClass]
+    reflection: Reflection
     complete: bool
     depth: int
     root: Cell
 
     @property
+    def states(self) -> StateClasses:
+        return StateClasses(self.reflection)
+
+    @property
     def basepoint(self) -> Cell:
-        return self.states[self.root].canonical.start
+        return self.reflection.x0
 
 
-def unfold(space: PrecubicalSet, x0: Cell, depth: int) -> Unfolding:
-    """Unfold the complex at a base vertex, truncated at ``depth`` edges."""
-    from .dihomotopy import DihomotopyClass, reflect
-    from .dipath import EdgePath
+def unfold(space: PrecubicalSet, x0: Cell, depth: int, budget: int | None = None) -> Unfolding:
+    """Unfold the complex at a base vertex, truncated at ``depth`` edges.
+
+    ``budget`` caps the (state, edge) extensions of the reflection, and
+    running past it raises ResourceLimitError; ``None`` sets no cap.
+    """
+    from .dihomotopy import reflect
 
     space.check_vertex(x0)
     if depth < 0:
         raise InputError("depth must be non-negative")
+    if budget is not None:
+        check_budget(budget)
 
-    r = reflect(space, x0, depth)
+    r = reflect(space, x0, depth, budget=budget)
     ends, ext = r.ends, r.ext
-    paths = r.least_paths()
     complete = all(not space.out_edges(ends[u]) for u in r.stages[-1])
 
-    # assemble the total complex: state t is the vertex s{t}, and each
-    # n-cell c of X rooted at its end lifts to s{t}|{c} within the depth
-    vertices = [Cell(0, f"s{t}") for t in range(len(paths))]
+    # assemble the total complex: each n-cell c of X rooted at the end of
+    # state t lifts to s{t}|{c} when the state's length (its stage) plus n
+    # is within the depth; states are numbered stage by stage
+    vertices = _state_vertices(len(ends))
 
     def lifted(t: int, c: Cell) -> Cell:
         return Cell(c.dim, f"s{t}|{c.key}") if c.dim else vertices[t]
@@ -88,25 +137,20 @@ def unfold(space: PrecubicalSet, x0: Cell, depth: int) -> Unfolding:
     faces: dict[tuple[Cell, int, int], Cell] = {}
     proj: dict[Cell, Cell] = dict(zip(vertices, ends))
     for dim in range(1, space.dimension + 1):
-        for t, path in enumerate(paths):
-            if len(path) + dim > depth:
-                continue
-            for c in space.rooted(ends[t], dim):
-                cc = lifted(t, c)
-                cells.setdefault(dim, []).append(cc)
-                proj[cc] = c
-                for i in range(1, dim + 1):
-                    faces[(cc, i, 0)] = lifted(t, space.face(c, i, 0))
-                    advanced = ext[(t, space.corner_edge(c, i))]
-                    faces[(cc, i, 1)] = lifted(advanced, space.face(c, i, 1))
+        for stage in r.stages[: max(depth - dim + 1, 0)]:
+            for t in stage:
+                for c in space.rooted(ends[t], dim):
+                    cc = lifted(t, c)
+                    cells.setdefault(dim, []).append(cc)
+                    proj[cc] = c
+                    for i in range(1, dim + 1):
+                        faces[(cc, i, 0)] = lifted(t, space.face(c, i, 0))
+                        advanced = ext[(t, space.corner_edge(c, i))]
+                        faces[(cc, i, 1)] = lifted(advanced, space.face(c, i, 1))
 
     total = PrecubicalSet(cells, faces)
     projection = PcMorphism(total, space, proj)
-    states = {
-        v: DihomotopyClass((x0, ends[t]), EdgePath(x0, paths[t]), count=r.counts[t])
-        for t, v in enumerate(vertices)
-    }
-    return Unfolding(total, projection, states, complete, depth, vertices[0])
+    return Unfolding(total, projection, r, complete, depth, vertices[0])
 
 
 class InitialFactorization(NamedTuple):
@@ -229,11 +273,13 @@ def unfolding_to_data(u: Unfolding) -> dict:
     """The total complex's file, with its projection, states and extent.
 
     The total complex's data is built once and is also the projection's
-    ``source``.
+    ``source``.  Each state is written as a back pointer: the state whose
+    least path, extended by ``edge``, is its own; the root has neither.
     """
-    from .dipath import path_to_data
-
     total = complex_to_data(u.total)
+    states = {"s0": {"parent": None, "edge": None}}
+    for t, (parent, e) in enumerate(u.reflection.back[1:], 1):
+        states[f"s{t}"] = {"parent": f"s{parent}", "edge": e.key}
     return {
         **total,
         "projection": {
@@ -241,10 +287,7 @@ def unfolding_to_data(u: Unfolding) -> dict:
             "target": complex_to_data(u.projection.target),
             "map": {c.key: d.key for c, d in u.projection.mapping.items()},
         },
-        "states": {
-            v.key: {"class_canonical": path_to_data(cls.canonical)}
-            for v, cls in u.states.items()
-        },
+        "states": states,
         "complete": u.complete,
         "depth": u.depth,
         "basepoint": u.basepoint.key,

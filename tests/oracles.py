@@ -10,7 +10,8 @@ upstairs cell at its hand-walked minimal corner, factorizations through
 a projection by backtracking search over its fibres, isomorphisms
 by backtracking over cells, PV state spaces by testing every grid
 cell against every hold interval, P/V matching by counting what each
-process holds, and canonical JSON by the standard library's own
+process holds, every state's least path by extending its parent's
+path as a whole tuple, and canonical JSON by the standard library's own
 encoder.  The checked loader and both validators are
 here as they were before the loader read its face table directly: one
 ``face()`` call per lookup and a new ``Cell`` per face entry.  Complex
@@ -163,6 +164,31 @@ def distances_to(space, b):
         frontier = {tail for tail, head in ends.values() if head in frontier and tail not in dist}
         dist.update(dict.fromkeys(frontier, level))
     return dist
+
+
+def least_paths(r):
+    """The edges of every state's least path in a reflection, each one edge past its parent's."""
+    paths = [()]
+    for u, e in r.back[1:]:
+        paths.append(paths[u] + (e,))
+    return paths
+
+
+def pointer_paths(states):
+    """State key -> edge keys of its path, rebuilt from ``unfold``'s ``parent``/``edge`` pointers.
+
+    Every parent must be an earlier state of the same table, so a cycle
+    or a dangling pointer raises.
+    """
+    paths = {}
+    for key, state in sorted(states.items(), key=lambda item: int(item[0][1:])):
+        parent, edge = state["parent"], state["edge"]
+        if parent is None:
+            assert edge is None and not paths, key
+            paths[key] = []
+        else:
+            paths[key] = paths[parent] + [edge]
+    return paths
 
 
 def closure_pairs(space):

@@ -4,9 +4,14 @@ from pathlib import Path
 
 import pytest
 
-from ditop import Cell, directed_circle, directed_path, fold_map, grid, pv, standard_cube
+from ditop import (
+    Cell, classes, classes_to_data, directed_circle, directed_cycle, directed_path, fold_map, grid,
+    pv, standard_cube, tensor,
+)
 from ditop.cli import canonical_json, main
 from ditop.dicovering import cylinder_projection
+from ditop.dipath import longer_path_exists
+from ditop.errors import DEFAULT_BUDGET
 from ditop.precubical import complex_to_data, morphism_to_data
 
 import oracles
@@ -165,12 +170,12 @@ class TestPathVerbs:
         )
         assert code == 3 and "resource limit" in err
 
-    @pytest.mark.parametrize("verb", ["paths", "classes", "universal"])
+    @pytest.mark.parametrize("verb", ["paths", "classes", "unfold", "universal"])
     def test_negative_budget_is_an_input_error(self, run, verb):
         code, out, err = run(*BUDGETED[verb], "--budget", "-1")
         assert (code, out, err) == (2, "", "ditop: budget must be non-negative\n")
 
-    @pytest.mark.parametrize("verb", ["paths", "classes", "universal"])
+    @pytest.mark.parametrize("verb", ["paths", "classes", "unfold", "universal"])
     def test_zero_budget_is_a_resource_limit(self, run, verb):
         # universal reports its budget overrun per basepoint in its output
         code, out, err = run(*BUDGETED[verb], "--budget", "0")
@@ -260,9 +265,36 @@ class TestPathVerbs:
 BUDGETED = {
     "paths": ["paths", str(FIXTURES / "swiss.json"), "--from", "c00", "--to", "c33"],
     "classes": ["classes", str(FIXTURES / "swiss.json"), "--from", "c00", "--to", "c33"],
+    "unfold": ["unfold", str(FIXTURES / "swiss.json"), "--base", "c00", "--depth", "4"],
     "universal": ["universal", str(FIXTURES / "swiss.json"), "--base", "c00", "--depth", "4",
                   "--against", str(FIXTURES / "fold2_swiss.json")],
 }
+
+
+class TestClassesVerb:
+    @pytest.mark.parametrize("space, a, b, max_len", [
+        (grid(3, 3, holes={(1, 1)}), "c00", "c33", 6),
+        (grid(3, 3, holes={(1, 1)}), "c00", "c33", 4),
+        (grid(3, 3, holes={(1, 1)}), "c11", "c33", 16),
+        (grid(3, 3, holes={(1, 1)}), "c33", "c00", 16),
+        # the torus of the seed-7 bouquet-covers benchmark round, up to names
+        (tensor(directed_cycle(2), directed_cycle(3)), "(v0,v0)", "(v0,v0)", 12),
+    ])
+    def test_shared_table_leaves_the_output_as_the_library_writes_it(
+        self, run, tmp_path, space, a, b, max_len
+    ):
+        # the verb builds distances_to(space, b) once for both of its searches
+        path = tmp_path / "space.json"
+        path.write_text(canonical_json(complex_to_data(space)))
+        a_cell, b_cell = Cell(0, a), Cell(0, b)
+        expected = classes_to_data(classes(space, a_cell, b_cell, max_len), endpoints=(a_cell, b_cell))
+        expected["meta"] = {
+            "max_len": max_len,
+            "budget": DEFAULT_BUDGET,
+            "length_bound_saturated": longer_path_exists(space, a_cell, b_cell, max_len),
+        }
+        code, out, _ = run("classes", str(path), "--from", a, "--to", b, "--max-len", str(max_len))
+        assert (code, out) == (0, canonical_json(expected) + "\n")
 
 
 class TestUnfoldVerb:
@@ -271,7 +303,43 @@ class TestUnfoldVerb:
         assert code == 0
         data = json.loads(out)
         assert data["complete"] is True
-        assert data["states"]["s0"]["class_canonical"]["start"] == "c00"
+        assert data["basepoint"] == "c00" and data["meta"] == {"depth": 12, "budget": DEFAULT_BUDGET}
+        assert data["states"]["s0"] == {"parent": None, "edge": None}
+        # every state's rebuilt path runs from the basepoint to the state's image
+        space = grid(3, 3, holes={(1, 1)})
+        image = data["projection"]["map"]
+        for key, edges in oracles.pointer_paths(data["states"]).items():
+            at = Cell(0, "c00")
+            for e in edges:
+                assert space.face(Cell(1, e), 1, 0) == at
+                at = space.face(Cell(1, e), 1, 1)
+            assert image[key] == at.key
+
+    def test_budget_stops_exponential_work(self, run, tmp_path):
+        # 2^41 - 1 states at depth 40; the budget must stop the run early
+        path = tmp_path / "bouquet2.json"
+        path.write_text(json.dumps({
+            "cells": {"0": ["o"], "1": ["x", "y"]},
+            "faces": {e: {"1,0": "o", "1,1": "o"} for e in ("x", "y")},
+        }))
+        out_path = tmp_path / "unfolded.json"
+        start = time.perf_counter()
+        code, out, err = run("unfold", str(path), "--base", "o", "--depth", "40",
+                             "--budget", "1000", "--out", str(out_path))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == "ditop: resource limit: class search exceeded its budget at path length 9\n"
+        assert not out_path.exists()
+
+    def test_output_grows_linearly_with_depth_on_a_loop(self, run, tmp_path):
+        path = tmp_path / "circle.json"
+        path.write_text(canonical_json(complex_to_data(directed_circle())))
+        sizes = []
+        for depth in (250, 500, 1000):
+            code, out, _ = run("unfold", str(path), "--base", "v0", "--depth", str(depth))
+            assert code == 0 and len(json.loads(out)["states"]) == depth + 1
+            sizes.append(len(out.encode()))
+        assert sizes[1] <= 2.1 * sizes[0] and sizes[2] <= 2.1 * sizes[1], sizes
 
     def test_out_file_reloads_as_complex(self, run, swiss_file, tmp_path):
         out_path = tmp_path / "unfolded.json"

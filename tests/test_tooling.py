@@ -1,5 +1,6 @@
 """Guards on the package itself rather than on its behaviour."""
 
+import argparse
 import ast
 import importlib
 import json
@@ -104,6 +105,40 @@ def test_one_module_sets_the_default_budget():
                 literals.append(path.stem)
     assert assigned == literals == ["errors"]
     assert strings_by_function("budget must be non-negative") == {"errors": {"check_budget"}}
+
+
+EXPONENTIAL_VERBS = {"paths", "classes", "unfold", "universal"}
+
+
+def subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """Verb -> its parser, nested verbs such as ``pv compile`` included."""
+    found = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                found[name] = sub
+                found.update({f"{name} {k}": v for k, v in subcommands(sub).items()})
+    return found
+
+
+def test_every_exponential_search_takes_a_budget_and_echoes_it(capsys):
+    # a verb whose search can grow exponentially must not ship unbounded
+    from ditop.cli import build_parser, main
+    from ditop.errors import DEFAULT_BUDGET
+
+    budgets = {
+        verb: action
+        for verb, sub in subcommands(build_parser()).items()
+        for action in sub._actions
+        if "--budget" in action.option_strings
+    }
+    assert EXPONENTIAL_VERBS <= budgets.keys()
+    for verb, action in budgets.items():
+        assert (action.type, action.default) == (int, DEFAULT_BUDGET), verb
+        argv = [str(FIXTURES / a) if (FIXTURES / a).is_file() else a for a in VERBS[verb]]
+        for extra, echoed in (([], DEFAULT_BUDGET), (["--budget", "999999"], 999999)):
+            assert main(argv + extra) == 0, verb
+            assert json.loads(capsys.readouterr().out)["meta"]["budget"] == echoed, verb
 
 
 def test_only_the_package_defines_a_module_getattr():

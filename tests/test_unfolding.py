@@ -1,4 +1,10 @@
+import json
+import os
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
 
 from ditop import (
     InputError,
@@ -26,10 +32,17 @@ from ditop import (
     vertex,
 )
 from ditop import pv
-from ditop.precubical import complex_from_data, morphism_from_data, morphism_to_data
+from ditop.cli import canonical_json, main
+from ditop.dihomotopy import reflect
+from ditop.precubical import (
+    complex_from_data, complex_to_data, load_complex, morphism_from_data, morphism_to_data,
+)
 
 import oracles
 from conftest import MUTEX3_PV
+from test_dihomotopy import grid_problems
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def fiber_sizes(unfolding):
@@ -239,7 +252,51 @@ class TestSerialization:
         total_again = complex_from_data({"cells": data["cells"], "faces": data["faces"]})
         assert total_again == u.total
         assert set(data["states"]) == {v.key for v in u.total.vertices}
-        root_state = data["states"]["s0"]["class_canonical"]
-        assert root_state == {"start": "c00", "edges": []}
+        assert data["states"]["s0"] == {"parent": None, "edge": None}
+        rebuilt = oracles.pointer_paths(data["states"])
+        assert rebuilt == {v.key: list(cls.canonical.edge_keys()) for v, cls in u.states.items()}
         assert morphism_from_data(data["projection"]) == u.projection
         assert data["projection"] == morphism_to_data(u.projection)
+
+
+def _unfold_via_cli(space, x0, depth, where):
+    """The ``states`` and projection map ``ditop unfold`` writes for the complex."""
+    source, out = os.path.join(where, "space.json"), os.path.join(where, "unfolded.json")
+    with open(source, "w", encoding="utf-8") as handle:
+        handle.write(canonical_json(complex_to_data(space)))
+    assert main(["unfold", source, "--base", x0.key, "--depth", str(depth), "--out", out]) == 0
+    with open(out, encoding="utf-8") as handle:
+        data = json.load(handle)
+    return data["states"], data["projection"]["map"]
+
+
+def _assert_pointers_rebuild_the_least_paths(space, x0, depth, where):
+    states, image = _unfold_via_cli(space, x0, depth, where)
+    expected = oracles.least_paths(reflect(space, x0, depth))
+    assert set(states) == {f"s{t}" for t in range(len(expected))}
+    rebuilt = oracles.pointer_paths(states)
+    for t, path in enumerate(expected):
+        assert rebuilt[f"s{t}"] == [e.key for e in path], (x0, depth, t)
+        end = space.face(path[-1], 1, 1) if path else x0
+        assert image[f"s{t}"] == end.key
+
+
+class TestStatePointers:
+    """The ``parent``/``edge`` pointers rebuild every state's least path."""
+
+    def test_acyclic_corpus(self, acyclic_corpus, tmp_path):
+        for _, space in acyclic_corpus:
+            _assert_pointers_rebuild_the_least_paths(space, space.vertices[0], 8, str(tmp_path))
+
+    def test_swiss_fixture(self, tmp_path):
+        space = load_complex(str(FIXTURES / "swiss.json"))
+        for x0 in (vertex("c00"), vertex("c11")):
+            _assert_pointers_rebuild_the_least_paths(space, x0, 12, str(tmp_path))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(grid_problems())
+def test_pointers_rebuild_the_least_paths_on_random_grids(problem):
+    space, x0, _, depth = problem
+    with tempfile.TemporaryDirectory() as where:
+        _assert_pointers_rebuild_the_least_paths(space, x0, depth, where)

@@ -4,9 +4,9 @@ Every verb prints one JSON document on stdout (canonically formatted, so
 identical invocations are byte-identical) and reports problems on
 stderr.  Exit codes: 0 success, 1 domain-level negative verdict (a
 validation report with violations, a failed cover check, a failed
-universality suite, deadlocks found), 2 malformed input, 3 exhausted
-search budget.  Knobs that shaped a run (depth, budgets, length caps)
-are echoed in the output under ``"meta"``.
+universality suite, deadlocks found), 2 malformed input or output that
+cannot be written, 3 exhausted search budget.  Knobs that shaped a run
+(depth, budgets, length caps) are echoed in the output under ``"meta"``.
 
 Each verb imports the modules it uses when it runs, so one call loads
 and compiles only what its verb needs.
@@ -15,6 +15,7 @@ and compiles only what its verb needs.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -108,9 +109,27 @@ def _float(f: float) -> str:
     return float.__repr__(f)
 
 
-def _emit(data) -> None:
-    sys.stdout.write(canonical_json(data))
-    sys.stdout.write("\n")
+def _emit(data, out=None) -> None:
+    """Write ``data`` and a newline to the file ``out``, or to stdout when none is given.
+
+    A target that cannot be written, stdout closed by its reader included,
+    is a DitopError.  Stdout then goes to the null device, so that the
+    interpreter's last flush has nothing left to fail on.
+    """
+    text = canonical_json(data)
+    try:
+        if out:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+                handle.write("\n")
+        else:
+            sys.stdout.write(text)
+            sys.stdout.write("\n")
+            sys.stdout.flush()
+    except OSError as exc:
+        if not out:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise DitopError(f"cannot write {out or 'stdout'}: {exc}") from None
 
 
 def _vertex(space, key: str):
@@ -158,17 +177,12 @@ def _cmd_classes(args) -> int:
 
     space = load_complex(args.file)
     a, b = _vertex(space, args.src), _vertex(space, args.dst)
-    coreach = dipath.distances_to(space, b)
-    class_list = dihomotopy.classes(
-        space, a, b, args.max_len, budget=args.budget, coreach=coreach
-    )
+    class_list = dihomotopy.classes(space, a, b, args.max_len, budget=args.budget)
     data = dihomotopy.classes_to_data(class_list, endpoints=(a, b))
     data["meta"] = {
         "max_len": args.max_len,
         "budget": args.budget,
-        "length_bound_saturated": dipath.longer_path_exists(
-            space, a, b, args.max_len, coreach=coreach
-        ),
+        "length_bound_saturated": dipath.longer_path_exists(space, a, b, args.max_len),
     }
     _emit(data)
     return 0
@@ -192,16 +206,7 @@ def _cmd_unfold(args) -> int:
     u = unfold(space, x0, args.depth, budget=args.budget)
     data = unfolding_to_data(u)
     data["meta"] = {"depth": args.depth, "budget": args.budget}
-    if args.out:
-        text = canonical_json(data)
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-                handle.write("\n")
-        except OSError as exc:
-            raise DitopError(f"cannot write {args.out}: {exc}") from None
-    else:
-        _emit(data)
+    _emit(data, args.out)
     return 0
 
 

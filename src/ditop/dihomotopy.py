@@ -258,8 +258,7 @@ def reflect(
     x0: Cell,
     depth: int,
     target: Cell | None = None,
-    budget: int | None = None,
-    coreach: dict[Cell, int] | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> Reflection:
     """Classify the paths out of ``x0`` of length at most ``depth``.
 
@@ -274,13 +273,12 @@ def reflect(
     still be reached from its end within ``depth`` edges in all.  Both
     paths of a move share their endpoints and length, so no merge among
     such paths is lost and the states over the target are those of the
-    unpruned run.  ``coreach`` is ``distances_to(space, target)`` when the
-    caller has built it already.  ``budget`` caps the number of
-    extensions made, checked at every level.
+    unpruned run.  ``budget`` caps the number of extensions made, checked
+    at every level; running past it raises ResourceLimitError, and a
+    negative one is an InputError.
     """
-    dist = coreach
-    if target is not None and dist is None:
-        dist = distances_to(space, target)
+    check_budget(budget)
+    dist = None if target is None else distances_to(space, target)
     unreachable = depth + 1
     heads = space.out_heads
 
@@ -301,7 +299,7 @@ def reflect(
         if not exts:
             break
         made += len(exts)
-        if budget is not None and made > budget:
+        if made > budget:
             raise ResourceLimitError(
                 f"class search exceeded its budget at path length {level + 1}"
             )
@@ -342,7 +340,6 @@ def classes(
     b: Cell,
     max_len: int,
     budget: int = DEFAULT_BUDGET,
-    coreach: dict[Cell, int] | None = None,
 ) -> list[DihomotopyClass]:
     """Dihomotopy classes of the paths from a to b of length at most max_len.
 
@@ -350,12 +347,10 @@ def classes(
     canonical representative; each carries its path count, not its
     members.  ``budget`` caps the (state, edge) extensions made, and
     running past it raises ResourceLimitError; a negative one is an
-    InputError.  ``coreach`` is ``distances_to(space, b)`` when the
-    caller has built it already.
+    InputError.
     """
     check_query(space, a, b, max_len)
-    check_budget(budget)
-    r = reflect(space, a, max_len, target=b, budget=budget, coreach=coreach)
+    r = reflect(space, a, max_len, target=b, budget=budget)
     result = [
         DihomotopyClass((a, b), EdgePath(a, r.least_path(i)), count=r.counts[i])
         for i, end in enumerate(r.ends)

@@ -19,11 +19,10 @@ from typing import Iterable, NamedTuple
 
 from ._frozen import Frozen, set_field
 from .errors import (
-    EndpointMismatchError, InputError, InvalidPathError, ResourceLimitError, check_budget,
+    DEFAULT_BUDGET, EndpointMismatchError, InputError, InvalidPathError, ResourceLimitError,
+    check_budget,
 )
 from .precubical import Cell, PrecubicalSet
-
-_UNBOUNDED = float("inf")
 
 
 class EdgePath(Frozen):
@@ -108,13 +107,14 @@ def enumerate_paths(space: PrecubicalSet, a: Cell, b: Cell, max_len: int) -> lis
 
     Output is in lexicographic order of the edge-id sequence (so the
     constant path, when a == b, comes first), duplicate-free by
-    construction.
+    construction.  The walk is bounded by the default budget of
+    :func:`path_tuples`.
     """
     return [EdgePath(a, edges) for edges in path_tuples(space, a, b, max_len)]
 
 
 def path_tuples(
-    space: PrecubicalSet, a: Cell, b: Cell, max_len: int, budget: int | None = None
+    space: PrecubicalSet, a: Cell, b: Cell, max_len: int, budget: int = DEFAULT_BUDGET
 ) -> list[tuple[Cell, ...]]:
     """The edge tuples of :func:`enumerate_paths`, in the same order.
 
@@ -126,8 +126,6 @@ def path_tuples(
     InputError.
     """
     check_query(space, a, b, max_len)
-    if budget is None:
-        budget = _UNBOUNDED
     check_budget(budget)
     found: list[tuple[Cell, ...]] = [()] if a == b else []
     dist = distances_to(space, b)
@@ -188,23 +186,19 @@ def distances_to(space: PrecubicalSet, b: Cell) -> dict[Cell, int]:
     return dist
 
 
-def longer_path_exists(
-    space: PrecubicalSet, a: Cell, b: Cell, max_len: int, coreach: dict[Cell, int] | None = None
-) -> bool:
+def longer_path_exists(space: PrecubicalSet, a: Cell, b: Cell, max_len: int) -> bool:
     """Whether some edge path from a to b has more than ``max_len`` edges.
 
     Such paths run through the vertices that are reachable from a and can
     reach b; every vertex on a path between two of them is one too.  A
     directed cycle among them gives paths of every greater length;
     otherwise they form a DAG whose longest a-to-b path is found in
-    topological order.  Linear in the size of the complex.  ``coreach``
-    is ``distances_to(space, b)`` when the caller has built it already.
+    topological order.  Linear in the size of the complex.
     """
-    if coreach is None:
-        coreach = distances_to(space, b)
-    if a not in coreach:
+    dist = distances_to(space, b)
+    if a not in dist:
         return False
-    between = reachable(space, [a]) & coreach.keys()
+    between = reachable(space, [a]) & dist.keys()
     heads = {v: [w for _, w in space.out_heads(v) if w in between] for v in between}
     indegree = dict.fromkeys(between, 0)
     for v in between:

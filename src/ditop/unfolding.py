@@ -107,19 +107,18 @@ class Unfolding(NamedTuple):
         return self.reflection.x0
 
 
-def unfold(space: PrecubicalSet, x0: Cell, depth: int, budget: int | None = None) -> Unfolding:
+def unfold(space: PrecubicalSet, x0: Cell, depth: int, budget: int = DEFAULT_BUDGET) -> Unfolding:
     """Unfold the complex at a base vertex, truncated at ``depth`` edges.
 
-    ``budget`` caps the (state, edge) extensions of the reflection, and
-    running past it raises ResourceLimitError; ``None`` sets no cap.
+    ``budget`` caps the (state, edge) extensions of the reflection;
+    running past it raises ResourceLimitError, and a negative one is an
+    InputError.
     """
     from .dihomotopy import reflect
 
     space.check_vertex(x0)
     if depth < 0:
         raise InputError("depth must be non-negative")
-    if budget is not None:
-        check_budget(budget)
 
     r = reflect(space, x0, depth, budget=budget)
     ends, ext = r.ends, r.ext
@@ -228,9 +227,11 @@ def universal_property_suite(
     built.  Each entry is first screened with the basepointed dicovering
     check; failures are skipped (with their witness).  For each passing
     entry and each of its basepoint lifts, a unique factorization of the
-    unfolding through the entry must exist.  Resource-limit errors are
-    recorded per basepoint without aborting the suite; a negative
-    ``node_budget`` is an InputError.
+    unfolding through the entry must exist.  Resource-limit errors of the
+    factorization are recorded per basepoint without aborting the suite; a
+    negative ``node_budget`` is an InputError.  The unfolding itself runs
+    under the default budget of :func:`unfold`, and running past it
+    raises ResourceLimitError.
     """
     # the cover check loads here, so that unfolding alone does not compile it
     from .dicovering import check_dicovering, universality_check

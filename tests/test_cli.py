@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -12,13 +15,19 @@ from ditop.cli import canonical_json, main
 from ditop.dicovering import cylinder_projection
 from ditop.dipath import longer_path_exists
 from ditop.errors import DEFAULT_BUDGET
-from ditop.precubical import complex_to_data, morphism_to_data
+from ditop.precubical import complex_from_data, complex_to_data, identity, morphism_to_data
 
 import oracles
 from conftest import SWISS_PV
 from test_dicovering import _double_cover_missing
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
+
+
+def bouquet_data(loops: int) -> dict:
+    """The complex of ``loops`` directed loops at the one vertex o."""
+    edges = [f"l{i}" for i in range(loops)]
+    return {"cells": {"0": ["o"], "1": edges}, "faces": {e: {"1,0": "o", "1,1": "o"} for e in edges}}
 
 
 @pytest.fixture
@@ -283,7 +292,6 @@ class TestClassesVerb:
     def test_shared_table_leaves_the_output_as_the_library_writes_it(
         self, run, tmp_path, space, a, b, max_len
     ):
-        # the verb builds distances_to(space, b) once for both of its searches
         path = tmp_path / "space.json"
         path.write_text(canonical_json(complex_to_data(space)))
         a_cell, b_cell = Cell(0, a), Cell(0, b)
@@ -357,6 +365,27 @@ class TestUnfoldVerb:
         assert (code, out) == (2, "")
         assert err.startswith(f"ditop: cannot write {out_path}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("depth, lines", [(12, 1), (2, 0)])
+    def test_stdout_closed_by_its_reader_exits_2(self, tmp_path, depth, lines):
+        # at depth 12 the output is megabytes, far more than a pipe holds, so
+        # a write fails; at depth 2 it is 2.5 kB, which the writer only buffers,
+        # so the flush fails and the buffered bytes must not fail again at exit
+        path = tmp_path / "bouquet2.json"
+        path.write_text(json.dumps(bouquet_data(2)))
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+        env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as by default
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ditop.cli", "unfold", str(path), "--base", "o",
+             "--depth", str(depth)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        for _ in range(lines):
+            assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2
+        assert err == "ditop: cannot write stdout: [Errno 32] Broken pipe\n"
+
 
 class TestCoverVerbs:
     def test_check_cover_pass(self, run, fold2_file):
@@ -414,6 +443,19 @@ class TestCoverVerbs:
             {"exists": True, "lift": "1:c00", "unique": True},
         ]
         assert data["entries"][1]["skipped"] is True
+
+    def test_universal_unfolding_runs_under_the_default_budget(self, run, tmp_path):
+        # 10^6 two-edge paths out of a bouquet of 1,000 loops
+        space = complex_from_data(bouquet_data(1000))
+        path, proj = tmp_path / "bouquet.json", tmp_path / "identity.json"
+        path.write_text(canonical_json(complex_to_data(space)))
+        proj.write_text(canonical_json(morphism_to_data(identity(space))))
+        start = time.perf_counter()
+        code, out, err = run("universal", str(path), "--base", "o", "--depth", "2",
+                             "--against", str(proj))
+        assert time.perf_counter() - start < 2.0
+        assert (code, out) == (3, "")
+        assert err == "ditop: resource limit: class search exceeded its budget at path length 2\n"
 
     def test_universal_against_wrong_base(self, run, swiss_file, tmp_path, monkeypatch):
         other = tmp_path / "other.json"

@@ -107,6 +107,27 @@ def test_one_module_sets_the_default_budget():
     assert strings_by_function("budget must be non-negative") == {"errors": {"check_budget"}}
 
 
+def test_every_budget_parameter_defaults_to_the_one_default():
+    # no search runs unbounded by default, and no caller hands a search a
+    # table it builds itself; errors.check_budget takes the budget it checks
+    found, coreach = {}, []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            positional = a.posonlyargs + a.args
+            defaults = [None] * (len(positional) - len(a.defaults)) + a.defaults
+            for arg, default in zip(positional + a.kwonlyargs, defaults + a.kw_defaults):
+                where = f"{path.stem}.{node.name}({arg.arg})"
+                if arg.arg in ("budget", "node_budget"):
+                    found[where] = default and ast.unparse(default)
+                coreach += [where] if arg.arg == "coreach" else []
+    assert found.pop("errors.check_budget(budget)") is None
+    assert found and {k: v for k, v in found.items() if v != "DEFAULT_BUDGET"} == {}
+    assert coreach == []
+
+
 EXPONENTIAL_VERBS = {"paths", "classes", "unfold", "universal"}
 
 

@@ -42,13 +42,7 @@ from .errors import (
     check_budget,
 )
 from .dipath import EdgePath, check_path, reachable
-from .precubical import (
-    Cell,
-    PcMorphism,
-    PrecubicalSet,
-    identity,
-    validate_morphism,
-)
+from .precubical import Cell, PcMorphism, PrecubicalSet, fibre, identity
 
 
 class LiftProblem(NamedTuple):
@@ -96,13 +90,16 @@ class DicoveringVerdict(Frozen):
         return self.is_dicovering
 
 
-def _lifts(p: PcMorphism, y: Cell, c: Cell) -> list[Cell]:
-    """The cells upstairs over ``c`` whose minimal corner is ``y``.
+def _lifts(p: PcMorphism, y: Cell, dim: int) -> dict[Cell, list[Cell]]:
+    """The cells of dimension ``dim`` rooted at ``y``, grouped by image: the lifts at y.
 
     An edge is rooted at its source, so one rule lifts edges and higher
     cells alike.
     """
-    return [cy for cy in p.source.rooted(y, c.dim) if p(cy) == c]
+    groups: dict[Cell, list[Cell]] = {}
+    for cy in p.source.rooted(y, dim):
+        groups.setdefault(p(cy), []).append(cy)
+    return groups
 
 
 def lift_path(problem: LiftProblem) -> EdgePath:
@@ -122,7 +119,7 @@ def lift_path(problem: LiftProblem) -> EdgePath:
     lifted: list[Cell] = []
     at = y
     for e in base.edges:
-        candidates = _lifts(p, at, e)
+        candidates = _lifts(p, at, 1).get(e, ())
         if not candidates:
             raise NoLiftError(
                 f"no edge over {e.key!r} leaves {at.key!r}", edge=e, vertex=at
@@ -148,31 +145,27 @@ def check_dicovering(p: PcMorphism, basepoint: Cell | None = None) -> Dicovering
     """
     X, Y = p.target, p.source
     if basepoint is None:
-        relevant = sorted(Y.vertices)
+        relevant = Y.vertices
     else:
         X.check_vertex(basepoint)
-        relevant = sorted(reachable(Y, [y for y in Y.vertices if p(y) == basepoint]))
+        relevant = sorted(reachable(Y, fibre(p, basepoint)))
 
-    for y in relevant:
-        for e in X.rooted(p(y), 1):
-            count = len(_lifts(p, y, e))
-            if count != 1:
-                return DicoveringVerdict(False, EdgeLiftWitness(e, y, count))
     higher = [dim for dim in X.dims() if dim >= 2]
-    for y in relevant:
-        for dim in higher:
-            for c in X.rooted(p(y), dim):
-                count = len(_lifts(p, y, c))
-                if count != 1:
-                    return DicoveringVerdict(False, CellLiftWitness(c, y, count))
+    for dims, witness in (((1,), EdgeLiftWitness), (higher, CellLiftWitness)):
+        for y in relevant:
+            for dim in dims:
+                lifts = _lifts(p, y, dim)
+                for c in X.rooted(p(y), dim):
+                    count = len(lifts.get(c, ()))
+                    if count != 1:
+                        return DicoveringVerdict(False, witness(c, y, count))
     return DicoveringVerdict(True, None)
 
 
 def replay_witness(p: PcMorphism, witness: EdgeLiftWitness | CellLiftWitness) -> int:
     """Recount the lifts a failure witness points at; a replay must give != 1."""
-    if isinstance(witness, EdgeLiftWitness):
-        return len(_lifts(p, witness.vertex, witness.edge))
-    return len(_lifts(p, witness.corner, witness.cell))
+    c, y, _ = (getattr(witness, name) for name in witness.__slots__)  # cell, corner, count
+    return len(_lifts(p, y, c.dim).get(c, ()))
 
 
 def fold_map(space: PrecubicalSet, k: int) -> PcMorphism:
@@ -185,10 +178,7 @@ def fold_map(space: PrecubicalSet, k: int) -> PcMorphism:
     from .constructions import disjoint_union
 
     union, injections = disjoint_union([space] * k)
-    mapping: dict[Cell, Cell] = {}
-    for inj in injections:
-        for c, tc in inj.mapping.items():
-            mapping[tc] = c
+    mapping = {tc: c for inj in injections for c, tc in inj.mapping.items()}
     return PcMorphism(union, space, mapping)
 
 
@@ -249,10 +239,11 @@ def universality_check(
     each higher cell to the unique cell over its image whose minimal
     corner is the image of its own minimal corner.
 
-    Returns phi, or ``None`` when a forced lift is missing or the lifts
-    do not fit together into a morphism.  Raises
-    AmbiguousFactorizationError when a step has several candidates,
-    which means p fails the basepointed dicovering check at pi(xt0), and
+    Returns phi, or ``None`` when a forced lift is missing or the lift of
+    an edge does not end at the image of the edge's head; as every lift is
+    unique, no other face of phi can fail to commute.  Raises
+    AmbiguousFactorizationError when a step has several candidates, which
+    means p fails the basepointed dicovering check at pi(xt0), and
     ResourceLimitError once more than ``node_budget`` cells are lifted; a
     negative ``node_budget`` is an InputError.
     """
@@ -270,6 +261,7 @@ def universality_check(
         raise InputError(f"{unreached[0].key!r} cannot be reached from {xt0.key!r}")
 
     phi: dict[Cell, Cell] = {}
+    groups: dict[tuple[Cell, int], dict[Cell, list[Cell]]] = {}  # (corner, dim) -> _lifts
 
     def put(c: Cell, candidates: list[Cell]) -> bool:
         """Send c to its only candidate; False when it has none."""
@@ -285,20 +277,27 @@ def universality_check(
             phi[c] = candidates[0]
         return bool(candidates)
 
+    def lift(c: Cell, corner: Cell) -> bool:
+        key = (phi[corner], c.dim)
+        if key not in groups:
+            groups[key] = _lifts(p, *key)
+        return put(c, groups[key].get(pi(c), []))
+
     put(xt0, [y0])
+    fits = True
     stack = [xt0]
     while stack:
         v = stack.pop()
-        for e in Xt.out_edges(v):
-            if not put(e, _lifts(p, phi[v], pi(e))):
+        for e, w in Xt.out_heads(v):
+            if not lift(e, v):
                 return None
-            w = Xt.face(e, 1, 1)
+            head = Y.face(phi[e], 1, 1)
             if w not in phi:
-                put(w, [Y.face(phi[e], 1, 1)])
+                put(w, [head])
                 stack.append(w)
+            fits = fits and phi[w] == head  # a misfit gives None once all is lifted
 
     for c in Xt.all_cells():
-        if c.dim >= 2 and not put(c, _lifts(p, phi[Xt.min_corner(c)], pi(c))):
+        if c.dim >= 2 and not lift(c, Xt.min_corner(c)):
             return None
-    phi_morphism = PcMorphism(Xt, Y, phi)
-    return None if validate_morphism(phi_morphism) else phi_morphism
+    return PcMorphism(Xt, Y, phi) if fits else None

@@ -253,6 +253,11 @@ class Reflection(NamedTuple):
         return tuple(edges)
 
 
+def state_class(r: Reflection, i: int) -> DihomotopyClass:
+    """State i of the reflection as a class: its endpoints, least path and count."""
+    return DihomotopyClass((r.x0, r.ends[i]), EdgePath(r.x0, r.least_path(i)), count=r.counts[i])
+
+
 def reflect(
     space: PrecubicalSet,
     x0: Cell,
@@ -274,8 +279,9 @@ def reflect(
     paths of a move share their endpoints and length, so no merge among
     such paths is lost and the states over the target are those of the
     unpruned run.  ``budget`` caps the number of extensions made, checked
-    at every level; running past it raises ResourceLimitError, and a
-    negative one is an InputError.
+    at every level, and before the level is built when there is no
+    target; running past it raises ResourceLimitError, and a negative one
+    is an InputError.
     """
     check_budget(budget)
     dist = None if target is None else distances_to(space, target)
@@ -287,9 +293,19 @@ def reflect(
     counts = [1]
     stages = [[0]]
     ext: dict[tuple[int, Cell], int] = {}
+
+    def charge(made: int, level: int) -> None:
+        """Raise when ``made`` extensions pass the budget at a level."""
+        if made > budget:
+            raise ResourceLimitError(f"class search exceeded its budget at path length {level + 1}")
+
     made = 0
     for level in range(depth):
         room = depth - level - 1
+        if dist is None:
+            # the out-degrees count the level's extensions exactly, so a
+            # level over the budget is refused before it is built
+            charge(made + sum(len(heads(ends[u])) for u in stages[level]), level)
         exts = [
             (u, e)
             for u in stages[level]
@@ -299,10 +315,7 @@ def reflect(
         if not exts:
             break
         made += len(exts)
-        if made > budget:
-            raise ResourceLimitError(
-                f"class search exceeded its budget at path length {level + 1}"
-            )
+        charge(made, level)
         uf = _UnionFind()
         if level >= 1:
             for t in stages[level - 1]:
@@ -351,11 +364,7 @@ def classes(
     """
     check_query(space, a, b, max_len)
     r = reflect(space, a, max_len, target=b, budget=budget)
-    result = [
-        DihomotopyClass((a, b), EdgePath(a, r.least_path(i)), count=r.counts[i])
-        for i, end in enumerate(r.ends)
-        if end == b
-    ]
+    result = [state_class(r, i) for i, end in enumerate(r.ends) if end == b]
     result.sort(key=lambda cls: cls.canonical.edge_keys())
     return result
 

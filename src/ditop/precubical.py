@@ -335,6 +335,11 @@ def identity(space: PrecubicalSet) -> PcMorphism:
     return PcMorphism(space, space, {c: c for c in space.all_cells()})
 
 
+def fibre(f: PcMorphism, x: Cell) -> list[Cell]:
+    """The vertices of f's source over the vertex ``x`` of its target, in order."""
+    return [y for y in f.source.vertices if f(y) == x]
+
+
 def compose(outer: PcMorphism, inner: PcMorphism) -> PcMorphism:
     """The composite ``outer after inner``."""
     if inner.target != outer.source:

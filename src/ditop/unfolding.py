@@ -45,6 +45,7 @@ from .precubical import (
     PcMorphism,
     PrecubicalSet,
     complex_to_data,
+    fibre,
 )
 
 if TYPE_CHECKING:
@@ -74,15 +75,11 @@ class StateClasses(Mapping):
         return iter(self._vertices)
 
     def __getitem__(self, v: Cell) -> DihomotopyClass:
-        from .dihomotopy import DihomotopyClass
-        from .dipath import EdgePath
+        from .dihomotopy import state_class
 
         if self._ids is None:
             self._ids = {w: t for t, w in enumerate(self._vertices)}
-        t, r = self._ids[v], self._r
-        return DihomotopyClass(
-            (r.x0, r.ends[t]), EdgePath(r.x0, r.least_path(t)), count=r.counts[t]
-        )
+        return state_class(self._r, self._ids[v])
 
 
 class Unfolding(NamedTuple):
@@ -250,8 +247,7 @@ def universal_property_suite(
             entries.append(CatalogEntryReport(label, verdict, skipped=True))
             continue
         lifts: list[BasepointLiftReport] = []
-        fiber = sorted(c for c, d in p.mapping.items() if d == x0 and c.dim == 0)
-        for y0 in fiber:
+        for y0 in fibre(p, x0):
             try:
                 phi = universality_check(
                     u.projection, p, (u.root, y0), node_budget=node_budget

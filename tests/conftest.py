@@ -31,6 +31,14 @@ def wedge_of_two_edges():
     return pushout(include, include).space
 
 
+def bouquet(loops: int) -> PrecubicalSet:
+    """``loops`` directed loops ``l0``, ``l1``, ... at the one vertex o."""
+    o = vertex("o")
+    edges = [Cell(1, f"l{i}") for i in range(loops)]
+    faces = {(e, 1, a): o for e in edges for a in (0, 1)}
+    return PrecubicalSet({0: [o], 1: edges}, faces)
+
+
 def build_corpus():
     corpus = [
         ("cube1", standard_cube(1)),

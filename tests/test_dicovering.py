@@ -1,7 +1,9 @@
 import random
+import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ditop import (
     AmbiguousFactorizationError,
@@ -37,6 +39,7 @@ from ditop import (
 from ditop.precubical import PcMorphism, PrecubicalSet
 
 import oracles
+from conftest import bouquet
 
 
 class TestLiftPath:
@@ -140,6 +143,43 @@ def _double_cover_missing(space, cells):
     )
     mapping = {c: d for c, d in double.mapping.items() if c not in gone}
     return PcMorphism(upstairs, space, mapping)
+
+
+def _bouquet_cover(loops, copies, at=None, lifts=1):
+    """``copies`` copies of a bouquet folded onto it.
+
+    With ``at = (j, i)``, loop i of copy j has ``lifts`` copies instead of
+    one: 0 fails edge lifting with count 0, and 2 with count 2.
+    """
+    fold = fold_map(bouquet(loops), copies)
+    up = fold.source
+    cells = {d: list(up.cells(d)) for d in up.dims()}
+    faces, mapping = dict(up.face_items()), dict(fold.mapping)
+    if at is not None and lifts != 1:
+        j, i = at
+        e = sorted(c for c, d in fold.mapping.items() if d == Cell(1, f"l{i}"))[j]
+        keys = [(e, 1, 0), (e, 1, 1)]
+        if lifts == 0:
+            cells[1].remove(e)
+            for key in keys:
+                del faces[key]
+            del mapping[e]
+        else:
+            twin = Cell(1, f"{e.key}'")
+            cells[1].append(twin)
+            for key in keys:
+                faces[(twin, 1, key[2])] = faces[key]
+            mapping[twin] = mapping[e]
+    return PcMorphism(PrecubicalSet(cells, faces), fold.target, mapping)
+
+
+@st.composite
+def bouquet_covers(draw, max_loops=40):
+    """A bouquet fold with many loops, one loop copy possibly dropped or doubled."""
+    loops = draw(st.integers(1, max_loops))
+    copies = draw(st.integers(1, 3))
+    at = (draw(st.integers(0, copies - 1)), draw(st.integers(0, loops - 1)))
+    return _bouquet_cover(loops, copies, at, draw(st.sampled_from([0, 1, 2])))
 
 
 def _verdict_tuple(verdict):
@@ -269,6 +309,50 @@ class TestCheckDicovering:
                         brute = oracles.brute_force_lifts(p, base.edges, y0)
                         assert len(brute) == 1, name
                         assert lift_path(LiftProblem(p, base, y0)).edges == brute[0], name
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(bouquet_covers())
+def test_bouquet_cover_verdicts_agree_with_counting_oracle(p):
+    assert validate_morphism(p) == []
+    for basepoint in (None, vertex("o")):
+        verdict = check_dicovering(p, basepoint=basepoint)
+        assert _verdict_tuple(verdict) == oracles.cover_verdict(p, basepoint)
+        if not verdict:
+            assert replay_witness(p, verdict.witness) == verdict.witness.count
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(bouquet_covers(max_loops=6), st.integers(1, 2))
+def test_bouquet_cover_factorizations_agree_with_search_oracle(p, depth):
+    u = unfold(p.target, vertex("o"), depth)
+    for y0 in sorted(y for y, x in p.mapping.items() if x == vertex("o") and y.dim == 0):
+        lifts = (u.root, y0)
+        try:
+            expected = oracles.search_factorization(u.projection, p, lifts)
+        except AmbiguousFactorizationError:
+            with pytest.raises(AmbiguousFactorizationError):
+                universality_check(u.projection, p, lifts)
+            continue
+        phi = universality_check(u.projection, p, lifts)
+        assert (phi and phi.mapping) == (expected and expected.mapping)
+
+
+class TestLiftingScales:
+    def test_many_loops_lift_in_linear_time(self):
+        # each upstairs vertex has 2,000 out-edges, so a lift rule that
+        # rescans them once per base edge is quadratic
+        space = bouquet(2000)
+        p = fold_map(space, 2)
+        u = unfold(space, vertex("o"), 1)
+        start = time.perf_counter()
+        assert check_dicovering(p)
+        checked = time.perf_counter()
+        phi = universality_check(u.projection, p, (u.root, Cell(0, "1:o")))
+        factored = time.perf_counter()
+        assert phi is not None and phi(u.root) == Cell(0, "1:o")
+        assert checked - start < 0.5
+        assert factored - checked < 0.5
 
 
 class TestDihomotopicLiftsAgree:

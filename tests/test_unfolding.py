@@ -1,6 +1,7 @@
 import json
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from ditop import (
     InputError,
     LiftProblem,
+    ResourceLimitError,
     check_dicovering,
     classes,
     compose,
@@ -39,7 +41,7 @@ from ditop.precubical import (
 )
 
 import oracles
-from conftest import MUTEX3_PV
+from conftest import MUTEX3_PV, bouquet
 from test_dihomotopy import grid_problems
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -177,6 +179,18 @@ class TestUnfold:
         a = unfold(swiss_grid, vertex("c00"), 12)
         b = unfold(swiss_grid, vertex("c00"), 12)
         assert a.total == b.total and a.projection == b.projection
+
+    def test_an_over_budget_level_is_refused_before_it_is_built(self):
+        # length 2 has 10^6 extensions, which take tens of MiB to list
+        space = bouquet(1000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="budget at path length 2$"):
+                unfold(space, vertex("o"), 2, budget=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_bad_inputs(self, swiss_grid):
         with pytest.raises(InputError):

@@ -9,12 +9,16 @@ cannot be written, 3 exhausted search budget.  Knobs that shaped a run
 (depth, budgets, length caps) are echoed in the output under ``"meta"``.
 
 Each verb imports the modules it uses when it runs, so one call loads
-and compiles only what its verb needs.
+and compiles only what its verb needs.  A process pays only for its
+verb: the cyclic collector is off while the verb runs, the document is
+written member by member, and :func:`run` exits with no interpreter
+teardown.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
@@ -83,12 +87,17 @@ def _encode_dict(d, newline: str) -> str:
     if not d:
         return "{}"
     inner = newline + "  "
+    return "{" + inner + ("," + inner).join(_members(d, inner)) + newline + "}"
+
+
+def _members(d, inner: str) -> list[str]:
+    """The ``"key": value`` texts of a dict whose members start lines at ``inner``."""
     # json sorts the items before it converts non-str keys
-    return "{" + inner + ("," + inner).join([
+    return [
         _quote(k if type(k) is str else _key(k)) + ": "
         + (_quote(v) if type(v) is str else _encode(v, inner))
         for k, v in sorted(d.items())
-    ]) + newline + "}"
+    ]
 
 
 def _key(k) -> str:
@@ -109,22 +118,32 @@ def _float(f: float) -> str:
     return float.__repr__(f)
 
 
-def _emit(data, out=None) -> None:
-    """Write ``data`` and a newline to the file ``out``, or to stdout when none is given.
+def _document(members: list[str]):
+    """The pieces of a top-level dict with these members, and a newline, in order."""
+    sep = "{\n  "
+    for member in members:
+        yield sep
+        yield member
+        sep = ",\n  "
+    yield "\n}\n"
 
-    A target that cannot be written, stdout closed by its reader included,
-    is a DitopError.  Stdout then goes to the null device, so that the
-    interpreter's last flush has nothing left to fail on.
+
+def _emit(data: dict, out=None) -> None:
+    """Write ``data``, a non-empty dict, and a newline to the file ``out``, or to stdout.
+
+    The bytes are those of ``canonical_json(data) + "\n"``, written member
+    by member, so the document never exists as one string.  A target that
+    cannot be written, stdout closed by its reader included, is a
+    DitopError.  Stdout then goes to the null device, so that the last
+    flush has nothing left to fail on.
     """
-    text = canonical_json(data)
+    members = _members(data, "\n  ")
     try:
         if out:
             with open(out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-                handle.write("\n")
+                handle.writelines(_document(members))
         else:
-            sys.stdout.write(text)
-            sys.stdout.write("\n")
+            sys.stdout.writelines(_document(members))
             sys.stdout.flush()
     except OSError as exc:
         if not out:
@@ -349,8 +368,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one verb and return its exit code.
+
+    The cyclic collector is off while the verb runs, since ditop's data
+    holds no reference cycles, and is back in the state it was in when
+    ``main`` returns.
+    """
+    args = build_parser().parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.run(args)
     except ResourceLimitError as exc:
@@ -359,7 +385,23 @@ def main(argv=None) -> int:
     except DitopError as exc:
         print(f"ditop: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def run() -> None:
+    """The process entry point: ``main``, then exit with no interpreter teardown.
+
+    Argument errors and unexpected exceptions leave through the normal
+    shutdown, as ``SystemExit`` and tracebacks do.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None when its descriptor was closed at start
+            stream.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

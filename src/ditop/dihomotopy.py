@@ -279,9 +279,9 @@ def reflect(
     paths of a move share their endpoints and length, so no merge among
     such paths is lost and the states over the target are those of the
     unpruned run.  ``budget`` caps the number of extensions made, checked
-    at every level, and before the level is built when there is no
-    target; running past it raises ResourceLimitError, and a negative one
-    is an InputError.
+    after each state's extensions, so a level over the budget is refused
+    within one state's out-edges; running past it raises
+    ResourceLimitError, and a negative one is an InputError.
     """
     check_budget(budget)
     dist = None if target is None else distances_to(space, target)
@@ -294,28 +294,22 @@ def reflect(
     stages = [[0]]
     ext: dict[tuple[int, Cell], int] = {}
 
-    def charge(made: int, level: int) -> None:
-        """Raise when ``made`` extensions pass the budget at a level."""
-        if made > budget:
-            raise ResourceLimitError(f"class search exceeded its budget at path length {level + 1}")
-
     made = 0
     for level in range(depth):
         room = depth - level - 1
-        if dist is None:
-            # the out-degrees count the level's extensions exactly, so a
-            # level over the budget is refused before it is built
-            charge(made + sum(len(heads(ends[u])) for u in stages[level]), level)
-        exts = [
-            (u, e)
-            for u in stages[level]
-            for e, head in heads(ends[u])
-            if dist is None or dist.get(head, unreachable) <= room
-        ]
+        # the level is built state by state and the count checked after
+        # each, so a level over the budget stops within one state's edges
+        exts: list[tuple[int, Cell]] = []
+        for u in stages[level]:
+            exts += [
+                (u, e) for e, head in heads(ends[u])
+                if dist is None or dist.get(head, unreachable) <= room
+            ]
+            if made + len(exts) > budget:
+                raise ResourceLimitError(f"class search exceeded its budget at path length {level + 1}")
         if not exts:
             break
         made += len(exts)
-        charge(made, level)
         uf = _UnionFind()
         if level >= 1:
             for t in stages[level - 1]:

@@ -1,8 +1,10 @@
+import gc
 import json
 import os
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -587,3 +589,144 @@ class TestOutputLayout:
         assert (code, out) == (0, "")
         text = out_path.read_text(encoding="utf-8")
         assert text == oracles.stdlib_canonical_json(json.loads(text)) + "\n"
+
+
+def write_inputs(where: Path, n: int) -> None:
+    """The inputs of PROCESS_CASES, built on the n-by-n grid with one hole."""
+    space = grid(n, n, holes={(1, 1)})
+    files = {
+        "g.json": complex_to_data(space),
+        "fold.json": morphism_to_data(fold_map(space, 2)),
+        "cyl.json": morphism_to_data(cylinder_projection(space)),
+    }
+    for name, data in files.items():
+        (where / name).write_text(canonical_json(data) + "\n")
+    procs = [f"proc P{a}.P{b}.V{b}.V{a};" for a, b in ["ab", "ba", "ab"][:n - 1]]
+    (where / "prog.pv").write_text("res a:1; res b:1;\n" + "\n".join(procs) + "\n")
+
+
+# name -> (argv on the inputs of size n, exit code); every verb, every
+# exit code, the --out writer and an argument error
+PROCESS_CASES = {
+    "validate": (lambda n: ["validate", "g.json"], 0),
+    "paths": (lambda n: ["paths", "g.json", "--from", "c00", "--to", f"c{n}{n}"], 0),
+    "classes": (lambda n: ["classes", "g.json", "--from", "c00", "--to", f"c{n}{n}"], 0),
+    "preorder": (lambda n: ["preorder", "g.json"], 0),
+    "unfold": (lambda n: ["unfold", "g.json", "--base", "c00", "--depth", str(2 * n)], 0),
+    "unfold --out": (lambda n: ["unfold", "g.json", "--base", "c00", "--depth", str(2 * n),
+                                "--out", "u.json"], 0),
+    "check-cover": (lambda n: ["check-cover", "fold.json"], 0),
+    "check-cover cylinder": (lambda n: ["check-cover", "cyl.json"], 1),
+    "universal": (lambda n: ["universal", "g.json", "--base", "c00", "--depth", str(2 * n),
+                             "--against", "fold.json"], 0),
+    "pv": (lambda n: ["pv", "compile", "prog.pv", "--deadlocks"], 1),
+    "factor-initial": (lambda n: ["factor-initial", "g.json"], 0),
+    "bad vertex": (lambda n: ["paths", "g.json", "--from", "c00", "--to", "nowhere"], 2),
+    "budget 0": (lambda n: ["classes", "g.json", "--from", "c00", "--to", f"c{n}{n}",
+                            "--budget", "0"], 3),
+    "argument error": (lambda n: ["paths", "g.json", "--from", "c00"], 2),
+}
+
+
+def run_in_process(argv: list[str], capsys) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of ``main(argv)``; an argument error exits through SystemExit."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestProcessModel:
+    """``main`` keeps the collector off only while a verb runs, and ``-m ditop.cli`` exits as ``main`` returns."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        """Size -> a directory holding the inputs of that size."""
+        found = {}
+        for n in (3, 6):
+            found[n] = tmp_path_factory.mktemp(f"n{n}")
+            write_inputs(found[n], n)
+        return found
+
+    @pytest.mark.parametrize("case", sorted(PROCESS_CASES))
+    def test_a_verb_leaves_no_cycle_that_grows_with_its_input(self, inputs, monkeypatch, capsys, case):
+        # any reference cycle in ditop's own data would leave more garbage
+        # for the collector on the larger input than on the smaller one
+        argv, code = PROCESS_CASES[case]
+        found = []
+        was_on = gc.isenabled()
+        gc.disable()
+        try:
+            for n in (3, 3, 6):  # the first run loads the verb's modules
+                monkeypatch.chdir(inputs[n])
+                assert run_in_process(argv(n), capsys)[0] == code
+                found.append(gc.collect())
+        finally:
+            if was_on:
+                gc.enable()
+        assert found[1] == found[2], found
+
+    @pytest.mark.parametrize("case", ["validate", "check-cover cylinder", "bad vertex",
+                                      "budget 0", "argument error"])
+    @pytest.mark.parametrize("on", [True, False])
+    def test_the_collector_is_back_as_it_was_after_main(self, inputs, capsys, monkeypatch, case, on):
+        import ditop.cli
+
+        during = []
+        verb = ditop.cli._cmd_validate
+        monkeypatch.setattr(ditop.cli, "_cmd_validate", lambda args: during.append(gc.isenabled()) or verb(args))
+        argv, code = PROCESS_CASES[case]
+        monkeypatch.chdir(inputs[3])
+        was_on = gc.isenabled()
+        (gc.enable if on else gc.disable)()
+        try:
+            got = run_in_process(argv(3), capsys)[0]
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was_on else gc.disable)()
+        assert (got, after) == (code, on)
+        assert during == ([False] if case == "validate" else [])
+
+
+@pytest.fixture(scope="module")
+def module_runs(tmp_path_factory):
+    """Every process case run as ``python -m ditop.cli`` on the small inputs, a few at a time."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"),
+               PYTHONDONTWRITEBYTECODE="1", COLUMNS="80")
+
+    def launch(case: str) -> tuple[int, bytes, bytes, bytes | None]:
+        where = tmp_path_factory.mktemp("module")
+        write_inputs(where, 3)
+        done = subprocess.run([sys.executable, "-m", "ditop.cli", *PROCESS_CASES[case][0](3)],
+                              cwd=where, env=env, capture_output=True, timeout=60)
+        out_file = where / "u.json"
+        return done.returncode, done.stdout, done.stderr, out_file.read_bytes() if out_file.exists() else None
+
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        return dict(zip(PROCESS_CASES, pool.map(launch, PROCESS_CASES)))
+
+
+@pytest.mark.parametrize("case", sorted(PROCESS_CASES))
+def test_the_module_entry_point_matches_main(module_runs, tmp_path, monkeypatch, capsys, case):
+    # stdout, stderr, the --out file and the exit code, byte for byte
+    write_inputs(tmp_path, 3)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    argv, expected = PROCESS_CASES[case]
+    code, out, err = run_in_process(argv(3), capsys)
+    out_file = tmp_path / "u.json"
+    got = (code, out.encode(), err.encode(), out_file.read_bytes() if out_file.exists() else None)
+    assert module_runs[case] == got
+    assert code == expected and (err == "") == (code < 2)
+
+
+def test_an_error_exit_with_stdout_closed_at_start_keeps_its_code(tmp_path):
+    # with descriptor 1 closed the interpreter has no sys.stdout to flush
+    write_inputs(tmp_path, 3)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-m", "ditop.cli", *PROCESS_CASES["bad vertex"][0](3)],
+                          cwd=tmp_path, env=env, stderr=subprocess.PIPE, timeout=60,
+                          preexec_fn=lambda: os.close(1))
+    assert (done.returncode, done.stderr) == (2, b"ditop: 'nowhere' is not a vertex of the complex\n")

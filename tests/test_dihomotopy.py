@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +29,7 @@ from ditop import (
 from ditop.dipath import longer_path_exists, path_tuples
 
 import oracles
+from conftest import bouquet
 
 
 def summary(result):
@@ -263,6 +265,19 @@ class TestClasses:
         assert len(classes(swiss_grid, a, b, 6, budget=28)) == 2
         with pytest.raises(ResourceLimitError, match="path length 6"):
             classes(swiss_grid, a, b, 6, budget=27)
+
+    def test_an_over_budget_level_is_refused_before_it_is_built(self):
+        # every loop of the bouquet leads back to o, so length 2 has 10^6
+        # extensions that pass the target filter and tens of MiB to list
+        space = bouquet(1000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="budget at path length 2$"):
+                classes(space, vertex("o"), vertex("o"), 2, budget=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_rejects_bad_input(self, swiss_grid):
         with pytest.raises(InputError):

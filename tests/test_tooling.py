@@ -128,6 +128,28 @@ def test_every_budget_parameter_defaults_to_the_one_default():
     assert coreach == []
 
 
+def test_only_the_cli_touches_the_collector_or_exits_the_process():
+    # the collector is switched off and the interpreter's teardown skipped
+    # around one verb in cli.main and cli.run, never inside the library
+    found: dict[str, set[str]] = {"gc": set(), "os._exit": set()}
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]
+            else:
+                continue
+            for name in names:
+                if name == "gc" or name.startswith("gc."):
+                    found["gc"].add(path.stem)
+                elif name == "os._exit":
+                    found["os._exit"].add(path.stem)
+    assert found == {"gc": {"cli"}, "os._exit": {"cli"}}
+
+
 EXPONENTIAL_VERBS = {"paths", "classes", "unfold", "universal"}
 
 

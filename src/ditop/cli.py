@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
@@ -28,8 +29,6 @@ from .errors import DEFAULT_BUDGET, DitopError, ResourceLimitError
 DEFAULT_DEPTH = 16
 DEFAULT_MAX_LEN = 16
 
-_INFINITY = float("inf")
-
 
 def canonical_json(data) -> str:
     """``data`` exactly as ``json.dumps(data, indent=2, sort_keys=True)`` writes it.
@@ -38,7 +37,8 @@ def canonical_json(data) -> str:
     this one emitter writes the same bytes for the one layout the CLI
     prints.  It tests exact types before subclasses, quotes strings with
     the C string encoder, and joins each container's children at once.
-    Values and keys it cannot write raise ``TypeError``, as ``json`` does.
+    Scalars of any other type go to ``json.dumps``, which writes them or
+    raises its own ``TypeError``.
     """
     return _encode(data, "\n")
 
@@ -60,18 +60,11 @@ def _encode(o, newline: str) -> str:
         return "true"
     if o is False:
         return "false"
-    # the rest in the order json's encoder tests them, subclasses included
-    if isinstance(o, str):
-        return _quote(o)
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return _float(o)
     if isinstance(o, (list, tuple)):
         return _encode_list(o, newline)
     if isinstance(o, dict):
         return _encode_dict(o, newline)
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+    return json.dumps(o)
 
 
 def _encode_list(items, newline: str) -> str:
@@ -104,18 +97,8 @@ def _key(k) -> str:
     if isinstance(k, str):
         return k
     if k is None or isinstance(k, (int, float)):
-        return _encode(k, "")
+        return json.dumps(k)
     raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
-
-
-def _float(f: float) -> str:
-    if f != f:
-        return "NaN"
-    if f == _INFINITY:
-        return "Infinity"
-    if f == -_INFINITY:
-        return "-Infinity"
-    return float.__repr__(f)
 
 
 def _document(members: list[str]):
@@ -133,10 +116,12 @@ def _emit(data: dict, out=None) -> None:
 
     The bytes are those of ``canonical_json(data) + "\n"``, written member
     by member, so the document never exists as one string.  A target that
-    cannot be written, stdout closed by its reader included, is a
-    DitopError.  Stdout then goes to the null device, so that the last
-    flush has nothing left to fail on.
+    cannot be written, stdout closed by its reader or at start included,
+    is a DitopError.  Stdout then goes to the null device, so that the
+    last flush has nothing left to fail on.
     """
+    if not out and sys.stdout is None:  # descriptor 1 was closed at start
+        raise DitopError("cannot write stdout: it is closed")
     members = _members(data, "\n  ")
     try:
         if out:
@@ -157,22 +142,20 @@ def _vertex(space, key: str):
     return space.check_vertex(Cell(0, key))
 
 
-def _cmd_validate(args) -> int:
-    from .precubical import _load_json, complex_from_data, validate
+def _cmd_validate(args) -> tuple[dict, int]:
+    from .precubical import load_complex, validate
 
-    space = complex_from_data(_load_json(args.file), check=False)
-    report = validate(space)
-    _emit({
+    report = validate(load_complex(args.file, check=False))
+    return {
         "valid": not report,
         "violations": [
             {"kind": v.kind, "cell": v.cell.key if v.cell else None, "message": v.message}
             for v in report
         ],
-    })
-    return 1 if report else 0
+    }, 1 if report else 0
 
 
-def _cmd_paths(args) -> int:
+def _cmd_paths(args) -> tuple[dict, int]:
     from . import dipath
     from .precubical import load_complex
 
@@ -180,17 +163,16 @@ def _cmd_paths(args) -> int:
     a, b = _vertex(space, args.src), _vertex(space, args.dst)
     found = dipath.path_tuples(space, a, b, args.max_len, budget=args.budget)
     start = a.key
-    _emit({
+    return {
         "from": a.key,
         "to": b.key,
         "count": len(found),
         "paths": [{"start": start, "edges": [e.key for e in edges]} for edges in found],
         "meta": {"max_len": args.max_len, "budget": args.budget},
-    })
-    return 0
+    }, 0
 
 
-def _cmd_classes(args) -> int:
+def _cmd_classes(args) -> tuple[dict, int]:
     from . import dihomotopy, dipath
     from .precubical import load_complex
 
@@ -203,20 +185,18 @@ def _cmd_classes(args) -> int:
         "budget": args.budget,
         "length_bound_saturated": dipath.longer_path_exists(space, a, b, args.max_len),
     }
-    _emit(data)
-    return 0
+    return data, 0
 
 
-def _cmd_preorder(args) -> int:
+def _cmd_preorder(args) -> tuple[dict, int]:
     from . import dipath
     from .precubical import load_complex
 
     space = load_complex(args.file)
-    _emit(dipath.preorder_to_data(dipath.reachability_preorder(space)))
-    return 0
+    return dipath.preorder_to_data(dipath.reachability_preorder(space)), 0
 
 
-def _cmd_unfold(args) -> int:
+def _cmd_unfold(args) -> tuple[dict, int]:
     from .precubical import load_complex
     from .unfolding import unfold, unfolding_to_data
 
@@ -225,11 +205,10 @@ def _cmd_unfold(args) -> int:
     u = unfold(space, x0, args.depth, budget=args.budget)
     data = unfolding_to_data(u)
     data["meta"] = {"depth": args.depth, "budget": args.budget}
-    _emit(data, args.out)
-    return 0
+    return data, 0
 
 
-def _cmd_check_cover(args) -> int:
+def _cmd_check_cover(args) -> tuple[dict, int]:
     from .dicovering import check_dicovering, verdict_to_data
     from .precubical import load_morphism
 
@@ -240,11 +219,10 @@ def _cmd_check_cover(args) -> int:
     verdict = check_dicovering(projection, basepoint=basepoint)
     data = verdict_to_data(verdict)
     data["meta"] = {"basepoint": args.base}
-    _emit(data)
-    return 0 if verdict else 1
+    return data, 0 if verdict else 1
 
 
-def _cmd_universal(args) -> int:
+def _cmd_universal(args) -> tuple[dict, int]:
     from .precubical import load_complex, load_morphism
     from .unfolding import suite_to_data, universal_property_suite
 
@@ -257,13 +235,12 @@ def _cmd_universal(args) -> int:
     )
     data = suite_to_data(report)
     data["meta"] = {"depth": args.depth, "budget": args.budget}
-    _emit(data)
     if report.resource_limited:
-        return 3
-    return 0 if report.passed else 1
+        return data, 3
+    return data, 0 if report.passed else 1
 
 
-def _cmd_pv_compile(args) -> int:
+def _cmd_pv_compile(args) -> tuple[dict, int]:
     from . import pv
     from .precubical import _read_text, complex_to_data
 
@@ -281,23 +258,21 @@ def _cmd_pv_compile(args) -> int:
         data["deadlocks"] = [v.key for v in stuck]
         if stuck:
             status = 1
-    _emit(data)
-    return status
+    return data, status
 
 
-def _cmd_factor_initial(args) -> int:
+def _cmd_factor_initial(args) -> tuple[dict, int]:
     from .precubical import complex_to_data, load_complex, morphism_to_data
     from .unfolding import factor_initial
 
     space = load_complex(args.file)
     left, right = factor_initial(space)
-    _emit({
+    return {
         "middle": complex_to_data(right.source),
         "middle_is_empty": right.source.is_empty(),
         "left": morphism_to_data(left),
         "right": morphism_to_data(right),
-    })
-    return 0
+    }, 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one verb and return its exit code.
+    """Run one verb, write the document it returns, and return its exit code.
 
     The cyclic collector is off while the verb runs, since ditop's data
     holds no reference cycles, and is back in the state it was in when
@@ -378,7 +353,9 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return args.run(args)
+        data, code = args.run(args)
+        _emit(data, getattr(args, "out", None))
+        return code
     except ResourceLimitError as exc:
         print(f"ditop: resource limit: {exc}", file=sys.stderr)
         return 3

@@ -148,6 +148,31 @@ def apply_move(space: PrecubicalSet, p: EdgePath, move: ElementaryMove) -> EdgeP
     return EdgePath(p.start, replaced)
 
 
+def _walk(index, p: EdgePath, goal=None, pool=None, budget: int = DEFAULT_BUDGET) -> dict:
+    """Breadth-first over the move graph from ``p``, inside ``pool`` when one is given.
+
+    Returns the paths reached, in order of discovery, each with the path
+    and move it was first reached by (``None`` for p); the walk stops
+    once it reaches ``goal``.  More than ``budget`` paths expanded raises
+    ResourceLimitError.
+    """
+    came: dict[EdgePath, tuple[EdgePath, ElementaryMove] | None] = {p: None}
+    queue = deque([p])
+    expanded = 0
+    while queue:
+        expanded += 1
+        if expanded > budget:
+            raise ResourceLimitError("component search exceeded its budget")
+        cur = queue.popleft()
+        for move, nxt in _neighbors(cur, index):
+            if nxt not in came and (pool is None or nxt in pool):
+                came[nxt] = (cur, move)
+                if nxt == goal:
+                    return came
+                queue.append(nxt)
+    return came
+
+
 def dihomotopic(
     space: PrecubicalSet, p: EdgePath, q: EdgePath, budget: int = DEFAULT_BUDGET
 ) -> MoveWitness | None:
@@ -155,6 +180,7 @@ def dihomotopic(
 
     Returns a MoveWitness (empty for p == q) or ``None``; an endpoint or
     length mismatch short-circuits to ``None`` since no move can bridge it.
+    ``budget`` caps the paths expanded, as in :func:`move_components`.
     """
     check_path(space, p)
     check_path(space, q)
@@ -165,29 +191,16 @@ def dihomotopic(
         return None
     if p == q:
         return MoveWitness(())
-    index = _word_index(space)
-    came: dict[EdgePath, tuple[EdgePath, ElementaryMove]] = {}
-    seen = {p}
-    queue = deque([p])
-    while queue:
-        if len(seen) > budget:
-            raise ResourceLimitError("dihomotopy search exceeded its budget")
-        cur = queue.popleft()
-        for move, nxt in _neighbors(cur, index):
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            came[nxt] = (cur, move)
-            if nxt == q:
-                moves: list[ElementaryMove] = []
-                back = q
-                while back != p:
-                    back, mv = came[back]
-                    moves.append(mv)
-                moves.reverse()
-                return MoveWitness(tuple(moves))
-            queue.append(nxt)
-    return None
+    came = _walk(_word_index(space), p, goal=q, budget=budget)
+    if q not in came:
+        return None
+    moves: list[ElementaryMove] = []
+    back = q
+    while back != p:
+        back, move = came[back]
+        moves.append(move)
+    moves.reverse()
+    return MoveWitness(tuple(moves))
 
 
 def move_components(
@@ -197,31 +210,20 @@ def move_components(
 
     Components are computed inside the given set; when the set is closed
     under moves (as any full enumeration between two vertices is), these
-    are exactly the dihomotopy classes.
+    are exactly the dihomotopy classes.  ``budget`` caps the paths
+    expanded over all components.
     """
     check_budget(budget)
     index = _word_index(space)
     pool = set(paths)
     seen: set[EdgePath] = set()
     components: list[list[EdgePath]] = []
-    expansions = 0
     for p in paths:
-        if p in seen:
-            continue
-        component = []
-        queue = deque([p])
-        seen.add(p)
-        while queue:
-            expansions += 1
-            if expansions > budget:
-                raise ResourceLimitError("component search exceeded its budget")
-            cur = queue.popleft()
-            component.append(cur)
-            for _, nxt in _neighbors(cur, index):
-                if nxt in pool and nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        components.append(component)
+        if p not in seen:
+            # a walk with no goal expands every path it reaches
+            component = list(_walk(index, p, pool=pool, budget=budget - len(seen)))
+            seen.update(component)
+            components.append(component)
     return components
 
 

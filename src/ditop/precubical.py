@@ -71,8 +71,7 @@ class PrecubicalSet:
         by_dim: dict[int, tuple[Cell, ...]] = {}
         seen: set[str] = set()
         for dim in sorted(int(d) for d in cells):
-            cs = list(cells[dim])
-            cs = sorted(cs if len(set(cs)) == len(cs) else set(cs))  # linear on sorted input
+            cs = sorted(cells[dim])  # linear on sorted input
             if not cs:
                 continue
             for c in cs:

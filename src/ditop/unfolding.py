@@ -40,13 +40,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 from .errors import (
     DEFAULT_BUDGET, AmbiguousFactorizationError, InputError, ResourceLimitError, check_budget,
 )
-from .precubical import (
-    Cell,
-    PcMorphism,
-    PrecubicalSet,
-    complex_to_data,
-    fibre,
-)
+from .precubical import Cell, PcMorphism, PrecubicalSet, fibre, morphism_to_data
 
 if TYPE_CHECKING:
     from .dicovering import DicoveringVerdict
@@ -267,23 +261,17 @@ def universal_property_suite(
 
 
 def unfolding_to_data(u: Unfolding) -> dict:
-    """The total complex's file, with its projection, states and extent.
+    """The projection's file, with the states and the extent of the unfolding.
 
-    The total complex's data is built once and is also the projection's
-    ``source``.  Each state is written as a back pointer: the state whose
-    least path, extended by ``edge``, is its own; the root has neither.
+    The total complex is written once, as the projection's ``source``.
+    Each state is written as a back pointer: the state whose least path,
+    extended by ``edge``, is its own; the root has neither.
     """
-    total = complex_to_data(u.total)
     states = {"s0": {"parent": None, "edge": None}}
     for t, (parent, e) in enumerate(u.reflection.back[1:], 1):
         states[f"s{t}"] = {"parent": f"s{parent}", "edge": e.key}
     return {
-        **total,
-        "projection": {
-            "source": total,
-            "target": complex_to_data(u.projection.target),
-            "map": {c.key: d.key for c, d in u.projection.mapping.items()},
-        },
+        "projection": morphism_to_data(u.projection),
         "states": states,
         "complete": u.complete,
         "depth": u.depth,

@@ -356,8 +356,32 @@ class TestUnfoldVerb:
         code, out, _ = run("unfold", swiss_file, "--base", "c00", "--depth", "12",
                            "--out", str(out_path))
         assert code == 0 and out == ""
-        code2, out2, _ = run("validate", str(out_path))
+        total_path = tmp_path / "total.json"
+        total_path.write_text(json.dumps(json.loads(out_path.read_text())["projection"]["source"]))
+        code2, out2, _ = run("validate", str(total_path))
         assert code2 == 0
+
+    @pytest.mark.parametrize("source, base, depth, code", [
+        ("swiss", "c00", 12, 0),  # a complete unfolding is a dicovering
+        ("bouquet2", "o", 3, 1),  # a truncated one misses the lifts past its depth
+    ])
+    def test_check_cover_reads_the_projection_of_an_out_file(self, run, tmp_path, source, base,
+                                                              depth, code):
+        if source == "swiss":
+            path = FIXTURES / "swiss.json"
+        else:
+            path = tmp_path / "bouquet2.json"
+            path.write_text(json.dumps(bouquet_data(2)))
+        out_path, proj_path = tmp_path / "unfolded.json", tmp_path / "projection.json"
+        assert run("unfold", str(path), "--base", base, "--depth", str(depth),
+                   "--out", str(out_path))[:2] == (0, "")
+        proj_path.write_text(json.dumps(json.loads(out_path.read_text())["projection"]))
+        got, out, err = run("check-cover", str(proj_path))
+        assert (got, err) == (code, "")
+        verdict = json.loads(out)
+        assert verdict["dicovering"] is (code == 0)
+        if code:
+            assert verdict["witness"]["kind"] == "edge" and verdict["witness"]["count"] == 0
 
     @pytest.mark.parametrize("where", ["missing-directory", "directory"])
     def test_out_path_that_cannot_be_written_exits_2(self, run, swiss_file, tmp_path, where):
@@ -730,3 +754,13 @@ def test_an_error_exit_with_stdout_closed_at_start_keeps_its_code(tmp_path):
                           cwd=tmp_path, env=env, stderr=subprocess.PIPE, timeout=60,
                           preexec_fn=lambda: os.close(1))
     assert (done.returncode, done.stderr) == (2, b"ditop: 'nowhere' is not a vertex of the complex\n")
+
+
+def test_a_verb_with_stdout_closed_at_start_exits_2_with_one_line(tmp_path):
+    # sys.stdout is None then, and the document has nowhere to go
+    write_inputs(tmp_path, 3)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-m", "ditop.cli", *PROCESS_CASES["validate"][0](3)],
+                          cwd=tmp_path, env=env, stderr=subprocess.PIPE, timeout=60,
+                          preexec_fn=lambda: os.close(1))
+    assert (done.returncode, done.stderr) == (2, b"ditop: cannot write stdout: it is closed\n")

@@ -440,6 +440,11 @@ class TestSerialization:
         with pytest.raises(InputError):
             complex_from_data({"cells": {"0": ["v", "v"]}, "faces": {}})
 
+    def test_a_repeated_cell_is_a_duplicate_key(self):
+        # a cell listed twice is an error, not merged into one
+        with pytest.raises(ValueError, match="^duplicate cell key 'v'$"):
+            PrecubicalSet({0: [vertex("v"), vertex("w"), vertex("v")]}, {})
+
 
 class TestRelativeComplexFiles:
     """A morphism file names its complexes relative to its own directory."""

@@ -263,7 +263,7 @@ class TestSerialization:
         data = unfolding_to_data(u)
         assert data["complete"] is True and data["depth"] == 12
         assert data["basepoint"] == "c00"
-        total_again = complex_from_data({"cells": data["cells"], "faces": data["faces"]})
+        total_again = complex_from_data(data["projection"]["source"])
         assert total_again == u.total
         assert set(data["states"]) == {v.key for v in u.total.vertices}
         assert data["states"]["s0"] == {"parent": None, "edge": None}

@@ -37,7 +37,7 @@ def canonical_json(data) -> str:
     this one emitter writes the same bytes for the one layout the CLI
     prints.  It tests exact types before subclasses, quotes strings with
     the C string encoder, and joins each container's children at once.
-    Scalars of any other type go to ``json.dumps``, which writes them or
+    Every scalar but a string goes to ``json.dumps``, which writes it or
     raises its own ``TypeError``.
     """
     return _encode(data, "\n")
@@ -52,14 +52,6 @@ def _encode(o, newline: str) -> str:
         return _encode_dict(o, newline)
     if t is list:
         return _encode_list(o, newline)
-    if t is int:
-        return int.__repr__(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
     if isinstance(o, (list, tuple)):
         return _encode_list(o, newline)
     if isinstance(o, dict):
@@ -117,8 +109,7 @@ def _emit(data: dict, out=None) -> None:
     The bytes are those of ``canonical_json(data) + "\n"``, written member
     by member, so the document never exists as one string.  A target that
     cannot be written, stdout closed by its reader or at start included,
-    is a DitopError.  Stdout then goes to the null device, so that the
-    last flush has nothing left to fail on.
+    is a DitopError.
     """
     if not out and sys.stdout is None:  # descriptor 1 was closed at start
         raise DitopError("cannot write stdout: it is closed")
@@ -131,15 +122,7 @@ def _emit(data: dict, out=None) -> None:
             sys.stdout.writelines(_document(members))
             sys.stdout.flush()
     except OSError as exc:
-        if not out:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise DitopError(f"cannot write {out or 'stdout'}: {exc}") from None
-
-
-def _vertex(space, key: str):
-    from .precubical import Cell
-
-    return space.check_vertex(Cell(0, key))
 
 
 def _cmd_validate(args) -> tuple[dict, int]:
@@ -157,27 +140,26 @@ def _cmd_validate(args) -> tuple[dict, int]:
 
 def _cmd_paths(args) -> tuple[dict, int]:
     from . import dipath
-    from .precubical import load_complex
+    from .precubical import load_complex, vertex
 
     space = load_complex(args.file)
-    a, b = _vertex(space, args.src), _vertex(space, args.dst)
+    a, b = vertex(args.src), vertex(args.dst)
     found = dipath.path_tuples(space, a, b, args.max_len, budget=args.budget)
-    start = a.key
     return {
         "from": a.key,
         "to": b.key,
         "count": len(found),
-        "paths": [{"start": start, "edges": [e.key for e in edges]} for edges in found],
+        "paths": [{"start": a.key, "edges": [e.key for e in edges]} for edges in found],
         "meta": {"max_len": args.max_len, "budget": args.budget},
     }, 0
 
 
 def _cmd_classes(args) -> tuple[dict, int]:
     from . import dihomotopy, dipath
-    from .precubical import load_complex
+    from .precubical import load_complex, vertex
 
     space = load_complex(args.file)
-    a, b = _vertex(space, args.src), _vertex(space, args.dst)
+    a, b = vertex(args.src), vertex(args.dst)
     class_list = dihomotopy.classes(space, a, b, args.max_len, budget=args.budget)
     data = dihomotopy.classes_to_data(class_list, endpoints=(a, b))
     data["meta"] = {
@@ -197,12 +179,10 @@ def _cmd_preorder(args) -> tuple[dict, int]:
 
 
 def _cmd_unfold(args) -> tuple[dict, int]:
-    from .precubical import load_complex
+    from .precubical import load_complex, vertex
     from .unfolding import unfold, unfolding_to_data
 
-    space = load_complex(args.file)
-    x0 = _vertex(space, args.base)
-    u = unfold(space, x0, args.depth, budget=args.budget)
+    u = unfold(load_complex(args.file), vertex(args.base), args.depth, budget=args.budget)
     data = unfolding_to_data(u)
     data["meta"] = {"depth": args.depth, "budget": args.budget}
     return data, 0
@@ -210,24 +190,21 @@ def _cmd_unfold(args) -> tuple[dict, int]:
 
 def _cmd_check_cover(args) -> tuple[dict, int]:
     from .dicovering import check_dicovering, verdict_to_data
-    from .precubical import load_morphism
+    from .precubical import load_morphism, vertex
 
-    projection = load_morphism(args.file)
-    basepoint = None
-    if args.base is not None:
-        basepoint = _vertex(projection.target, args.base)
-    verdict = check_dicovering(projection, basepoint=basepoint)
+    basepoint = None if args.base is None else vertex(args.base)
+    verdict = check_dicovering(load_morphism(args.file), basepoint=basepoint)
     data = verdict_to_data(verdict)
     data["meta"] = {"basepoint": args.base}
     return data, 0 if verdict else 1
 
 
 def _cmd_universal(args) -> tuple[dict, int]:
-    from .precubical import load_complex, load_morphism
+    from .precubical import load_complex, load_morphism, vertex
     from .unfolding import suite_to_data, universal_property_suite
 
     space = load_complex(args.file)
-    x0 = _vertex(space, args.base)
+    x0 = space.check_vertex(vertex(args.base))
     catalog = [load_morphism(path) for path in args.against]
     report = universal_property_suite(
         space, x0, args.depth, catalog, labels=list(args.against),
@@ -242,7 +219,7 @@ def _cmd_universal(args) -> tuple[dict, int]:
 
 def _cmd_pv_compile(args) -> tuple[dict, int]:
     from . import pv
-    from .precubical import _read_text, complex_to_data
+    from .precubical import _read_text, complex_to_data, vertex
 
     program = pv.parse(_read_text(args.file))
     compiled = pv.build_complex(program)
@@ -252,7 +229,7 @@ def _cmd_pv_compile(args) -> tuple[dict, int]:
     status = 0
     if args.deadlocks:
         final_key = args.final if args.final is not None else pv.top_corner(program)
-        final = _vertex(compiled.space, final_key)
+        final = vertex(final_key)
         stuck = pv.deadlocks(compiled.space, final)
         data["final"] = final.key
         data["deadlocks"] = [v.key for v in stuck]
@@ -342,6 +319,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _complain(message: str) -> None:
+    """Write a failed run's one ``ditop:`` line to stderr; a closed or unwritable one loses it."""
+    try:
+        sys.stderr.write(f"ditop: {message}\n")
+    except (AttributeError, OSError):  # None when descriptor 2 was closed at start, or unwritable
+        pass
+
+
 def main(argv=None) -> int:
     """Run one verb, write the document it returns, and return its exit code.
 
@@ -357,10 +342,10 @@ def main(argv=None) -> int:
         _emit(data, getattr(args, "out", None))
         return code
     except ResourceLimitError as exc:
-        print(f"ditop: resource limit: {exc}", file=sys.stderr)
+        _complain(f"resource limit: {exc}")
         return 3
     except DitopError as exc:
-        print(f"ditop: {exc}", file=sys.stderr)
+        _complain(str(exc))
         return 2
     finally:
         if collecting:
@@ -375,8 +360,10 @@ def run() -> None:
     """
     code = main()
     for stream in (sys.stdout, sys.stderr):
-        if stream is not None:  # None when its descriptor was closed at start
+        try:
             stream.flush()
+        except (AttributeError, OSError):  # None when closed at start, or unwritable
+            pass
     os._exit(code)
 
 

@@ -1,14 +1,17 @@
 """Constructions on finite precubical sets: generators, products and colimits.
 
 The directed n-cube, the tensor product, disjoint unions and coproducts,
-pushouts, codiagonal folds and finite chain colimits.  ``ditop``
-re-exports every name here on first use; no CLI verb loads this module.
+pushouts, codiagonal folds and finite chain colimits.  Precubical sets
+are presheaves, so a colimit is one quotient of a tagged disjoint union,
+glued dimension by dimension by :func:`_glue`; a finite chain's is its
+last object.  ``ditop`` re-exports every name here on first use; no CLI
+verb loads this module.
 """
 
 from __future__ import annotations
 
 from itertools import product as _product
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError
 from .precubical import Cell, FaceKey, PcMorphism, PrecubicalSet, _UnionFind, identity
@@ -67,6 +70,45 @@ def tensor(x: PrecubicalSet, y: PrecubicalSet) -> PrecubicalSet:
 # colimits
 
 
+def _glue(
+    summands: Sequence[tuple[int, PrecubicalSet]],
+    identify: Iterable[tuple[tuple[int, Cell], tuple[int, Cell]]],
+) -> tuple[PrecubicalSet, tuple[PcMorphism, ...]]:
+    """The tagged disjoint union of ``(tag, complex)`` summands, the listed item pairs merged.
+
+    An item ``(tag, c)`` is the cell c of the summand tagged ``tag``.  Each
+    union-find class is one cell named by its least ``"tag:key"``, and faces
+    are induced on classes, re-checked rather than assumed well defined.
+    Returns the quotient and one leg per summand.
+    """
+    uf = _UnionFind()
+    for x, y in identify:
+        uf.union(x, y)
+    members: dict[tuple[int, Cell], list[tuple[int, Cell]]] = {}
+    for tag, b in summands:
+        for c in b.all_cells():
+            members.setdefault(uf.find((tag, c)), []).append((tag, c))
+    cells: dict[int, list[Cell]] = {}
+    class_cell: dict[tuple[int, Cell], Cell] = {}
+    for mem in members.values():
+        cc = Cell(mem[0][1].dim, min(f"{tag}:{c.key}" for tag, c in mem))
+        cells.setdefault(cc.dim, []).append(cc)
+        class_cell.update(dict.fromkeys(mem, cc))
+
+    spaces = dict(summands)
+    faces: dict[FaceKey, Cell] = {}
+    for (tag, c), cc in class_cell.items():
+        for i in range(1, c.dim + 1):
+            for a in (0, 1):
+                fc = class_cell[(tag, spaces[tag].face(c, i, a))]
+                if faces.setdefault((cc, i, a), fc) != fc:
+                    raise AssertionError(f"gluing produced an ill-defined face ({i},{a}) on {cc.key!r}")
+    space = PrecubicalSet(cells, faces)
+    return space, tuple(
+        PcMorphism(b, space, {c: class_cell[(tag, c)] for c in b.all_cells()}) for tag, b in summands
+    )
+
+
 class Coproduct(NamedTuple):
     space: PrecubicalSet
     inj1: PcMorphism
@@ -79,22 +121,7 @@ def disjoint_union(spaces: Sequence[PrecubicalSet]) -> tuple[PrecubicalSet, tupl
     Cells of the j-th summand are retagged ``"j:key"`` so summands never
     collide.
     """
-    cells: dict[int, list[Cell]] = {}
-    faces: dict[FaceKey, Cell] = {}
-    tagged: list[dict[Cell, Cell]] = []
-    for j, space in enumerate(spaces):
-        tag = {c: Cell(c.dim, f"{j}:{c.key}") for c in space.all_cells()}
-        tagged.append(tag)
-        for c, tc in tag.items():
-            cells.setdefault(tc.dim, []).append(tc)
-            for i in range(1, c.dim + 1):
-                for a in (0, 1):
-                    faces[(tc, i, a)] = tag[space.face(c, i, a)]
-    union = PrecubicalSet(cells, faces)
-    injections = tuple(
-        PcMorphism(space, union, tag) for space, tag in zip(spaces, tagged)
-    )
-    return union, injections
+    return _glue(list(enumerate(spaces)), ())
 
 
 def coproduct(x: PrecubicalSet, y: PrecubicalSet) -> Coproduct:
@@ -112,48 +139,14 @@ class Pushout(NamedTuple):
 def pushout(f: PcMorphism, g: PcMorphism) -> Pushout:
     """Dimension-wise pushout of two morphisms out of a common source.
 
-    Computed by union-find on the tagged cells of both targets, merging
-    f(a) with g(a) for every source cell a.  Faces are induced on
-    classes; well-definedness is re-checked rather than assumed.
+    The targets are glued with f(a) merged with g(a) for every source
+    cell a, so a class is named by its least ``"1:key"`` or ``"2:key"``.
     """
     if f.source != g.source:
         raise InputError("pushout legs must share their source")
-    b1, b2 = f.target, g.target
-    uf = _UnionFind()
-    items = [(1, c) for c in b1.all_cells()] + [(2, c) for c in b2.all_cells()]
-    for item in items:
-        uf.find(item)
-    for a in f.source.all_cells():
-        uf.union((1, f(a)), (2, g(a)))
-
-    members: dict[tuple[int, Cell], list[tuple[int, Cell]]] = {}
-    for item in items:
-        members.setdefault(uf.find(item), []).append(item)
-
-    class_cell: dict[tuple[int, Cell], Cell] = {}
-    cells: dict[int, list[Cell]] = {}
-    for root, mem in members.items():
-        dim = mem[0][1].dim
-        rep = min(f"{side}:{c.key}" for side, c in mem)
-        cc = Cell(dim, rep)
-        cells.setdefault(dim, []).append(cc)
-        for item in mem:
-            class_cell[item] = cc
-
-    spaces = {1: b1, 2: b2}
-    faces: dict[FaceKey, Cell] = {}
-    for (side, c), cc in class_cell.items():
-        for i in range(1, c.dim + 1):
-            for a in (0, 1):
-                fc = class_cell[(side, spaces[side].face(c, i, a))]
-                prev = faces.setdefault((cc, i, a), fc)
-                if prev != fc:
-                    raise AssertionError(
-                        f"pushout produced an ill-defined face ({i},{a}) on {cc.key!r}"
-                    )
-    space = PrecubicalSet(cells, faces)
-    q1 = PcMorphism(b1, space, {c: class_cell[(1, c)] for c in b1.all_cells()})
-    q2 = PcMorphism(b2, space, {c: class_cell[(2, c)] for c in b2.all_cells()})
+    space, (q1, q2) = _glue(
+        [(1, f.target), (2, g.target)], [((1, f(a)), (2, g(a))) for a in f.source.all_cells()]
+    )
     return Pushout(space, q1, q2)
 
 

@@ -376,7 +376,7 @@ def validate_morphism(f: PcMorphism) -> list[Violation]:
 
 
 # ---------------------------------------------------------------------------
-# union-find, shared by the reflection engine and the pushout
+# union-find, shared by the reflection engine and the colimits
 
 
 class _UnionFind:

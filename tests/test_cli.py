@@ -764,3 +764,51 @@ def test_a_verb_with_stdout_closed_at_start_exits_2_with_one_line(tmp_path):
                           cwd=tmp_path, env=env, stderr=subprocess.PIPE, timeout=60,
                           preexec_fn=lambda: os.close(1))
     assert (done.returncode, done.stderr) == (2, b"ditop: cannot write stdout: it is closed\n")
+
+
+# name -> argv on the inputs of write_inputs(.., 3) naming the unknown vertex
+# "nowhere"; a double fault reports the vertex, as the first check finds it
+UNKNOWN_VERTEX_CASES = {
+    "paths --from": ["paths", "g.json", "--from", "nowhere", "--to", "c33"],
+    "paths --to": ["paths", "g.json", "--from", "c00", "--to", "nowhere"],
+    "classes --from": ["classes", "g.json", "--from", "nowhere", "--to", "c33"],
+    "classes --to": ["classes", "g.json", "--from", "c00", "--to", "nowhere"],
+    "unfold --base": ["unfold", "g.json", "--base", "nowhere"],
+    "check-cover --base": ["check-cover", "fold.json", "--base", "nowhere"],
+    "universal --base": ["universal", "g.json", "--base", "nowhere", "--against", "fold.json"],
+    "pv compile --final": ["pv", "compile", "prog.pv", "--deadlocks", "--final", "nowhere"],
+    "unfold --base, --depth -1": ["unfold", "g.json", "--base", "nowhere", "--depth", "-1"],
+    "paths --from, --max-len -1": ["paths", "g.json", "--from", "nowhere", "--to", "c33",
+                                   "--max-len", "-1"],
+    "classes --from, --max-len -1": ["classes", "g.json", "--from", "nowhere", "--to", "c33",
+                                     "--max-len", "-1"],
+    "universal --base, --budget -1": ["universal", "g.json", "--base", "nowhere", "--budget", "-1",
+                                      "--against", "fold.json"],
+    "universal --base, --against missing": ["universal", "g.json", "--base", "nowhere",
+                                            "--against", "missing.json"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNKNOWN_VERTEX_CASES))
+def test_every_vertex_flag_names_an_unknown_vertex_in_one_line(tmp_path, monkeypatch, capsys, case):
+    write_inputs(tmp_path, 3)
+    monkeypatch.chdir(tmp_path)
+    assert run_in_process(UNKNOWN_VERTEX_CASES[case], capsys) == (
+        2, "", "ditop: 'nowhere' is not a vertex of the complex\n")
+
+
+@pytest.mark.parametrize("case", ["bad vertex", "budget 0", "validate"])
+@pytest.mark.parametrize("lose_stderr", [
+    pytest.param(lambda: os.close(2), id="closed"),
+    pytest.param(lambda: os.dup2(os.open(os.devnull, os.O_RDONLY), 2), id="read-only"),
+])
+def test_a_closed_or_unwritable_stderr_keeps_stdout_and_the_exit_code(module_runs, tmp_path, case,
+                                                                      lose_stderr):
+    # the error line is lost, never moved to stdout, and the code stays 2, 3 or 0
+    write_inputs(tmp_path, 3)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-m", "ditop.cli", *PROCESS_CASES[case][0](3)],
+                          cwd=tmp_path, env=env, stdout=subprocess.PIPE, timeout=60,
+                          preexec_fn=lose_stderr)
+    assert (done.returncode, done.stdout) == module_runs[case][:2]
+    assert done.returncode == PROCESS_CASES[case][1]

@@ -249,6 +249,14 @@ class TestCoproduct:
             assert validate_morphism(result.inj2) == []
             assert validate(result.space) == []
 
+    def test_cells_are_named_by_summand(self):
+        result = coproduct(standard_cube(1), standard_cube(0))
+        assert [c.key for c in result.space.all_cells()] == ["0:0", "0:1", "1:", "0:*"]
+        assert result.space.face(Cell(1, "0:*"), 1, 1) == vertex("0:1")
+        assert result.inj1.mapping == {vertex("0"): vertex("0:0"), vertex("1"): vertex("0:1"),
+                                       Cell(1, "*"): Cell(1, "0:*")}
+        assert result.inj2.mapping == {vertex(""): vertex("1:")}
+
 
 def point_into_arrow():
     point = PrecubicalSet({0: [vertex("0")]}, {})
@@ -272,6 +280,23 @@ class TestPushout:
         x, y = standard_cube(1), directed_circle()
         po = pushout(PcMorphism(empty, x, {}), PcMorphism(empty, y, {}))
         assert oracles.is_isomorphic(po.space, coproduct(x, y).space)
+
+    def test_a_class_is_named_by_its_least_member(self):
+        # the wedge of two arrows at their sources: 0 is glued to 0
+        po = pushout(point_into_arrow(), point_into_arrow())
+        assert [c.key for c in po.space.all_cells()] == ["1:0", "1:1", "2:1", "1:*", "2:*"]
+        assert po.q1(vertex("0")) == po.q2(vertex("0")) == vertex("1:0")
+        assert po.q2(Cell(1, "*")) == Cell(1, "2:*")
+        assert po.space.face(Cell(1, "2:*"), 1, 0) == vertex("1:0")
+
+    def test_legs_that_do_not_commute_with_faces_are_ill_defined(self):
+        # g swaps the ends of the arrow but keeps the arrow, so the glued
+        # arrow would start at both glued ends
+        arrow = standard_cube(1)
+        g = PcMorphism(arrow, arrow, {vertex("0"): vertex("1"), vertex("1"): vertex("0"),
+                                      Cell(1, "*"): Cell(1, "*")})
+        with pytest.raises(AssertionError, match=r"^gluing produced an ill-defined face \(1,0\) on '1:\*'$"):
+            pushout(identity(arrow), g)
 
     def test_square_commutes(self):
         f = point_into_arrow()

@@ -150,6 +150,21 @@ def test_only_the_cli_touches_the_collector_or_exits_the_process():
     assert found == {"gc": {"cli"}, "os._exit": {"cli"}}
 
 
+def test_only_the_cli_writes_to_stderr_and_nothing_calls_print():
+    # cli._complain is the one writer of an error line; print(file=None)
+    # would move that line to stdout when descriptor 2 is closed at start
+    printing, stderr = [], set()
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
+                printing.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Attribute) and node.attr == "stderr":
+                stderr.add(path.stem)
+            elif isinstance(node, ast.ImportFrom) and any(alias.name == "stderr" for alias in node.names):
+                stderr.add(path.stem)
+    assert (printing, stderr) == ([], {"cli"})
+
+
 EXPONENTIAL_VERBS = {"paths", "classes", "unfold", "universal"}
 
 

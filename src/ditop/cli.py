@@ -1,7 +1,8 @@
 """Command-line surface for batch analysis with machine-readable output.
 
 Every verb prints one JSON document on stdout (canonically formatted, so
-identical invocations are byte-identical) and reports problems on
+identical invocations are byte-identical: one sorted top-level member
+per line, each written by json's C encoder) and reports problems on
 stderr.  Exit codes: 0 success, 1 domain-level negative verdict (a
 validation report with violations, a failed cover check, a failed
 universality suite, deadlocks found), 2 malformed input or output that
@@ -12,7 +13,8 @@ Each verb imports the modules it uses when it runs, so one call loads
 and compiles only what its verb needs.  A process pays only for its
 verb: the cyclic collector is off while the verb runs, the document is
 written member by member, and :func:`run` exits with no interpreter
-teardown.
+teardown.  Argument errors, like every other error line, go through the
+one stderr writer :func:`_complain`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import gc
 import json
 import os
 import sys
-from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import DEFAULT_BUDGET, DitopError, ResourceLimitError
 
@@ -31,95 +32,48 @@ DEFAULT_MAX_LEN = 16
 
 
 def canonical_json(data) -> str:
-    """``data`` exactly as ``json.dumps(data, indent=2, sort_keys=True)`` writes it.
+    """``data`` in the one layout the CLI prints: one top-level member per line.
 
-    With ``indent`` the standard library runs its pure-Python encoder;
-    this one emitter writes the same bytes for the one layout the CLI
-    prints.  It tests exact types before subclasses, quotes strings with
-    the C string encoder, and joins each container's children at once.
-    Every scalar but a string goes to ``json.dumps``, which writes it or
-    raises its own ``TypeError``.
+    A non-empty dict is ``{``, then each member in key order on its own
+    line, indented two spaces and written by ``json.dumps`` with its
+    default separators, then ``}``.  Any other value is one
+    ``json.dumps(data, sort_keys=True)``.  Without ``indent`` the
+    standard library runs its C encoder, and json converts non-string
+    keys and raises its own ``TypeError`` for a value it cannot write.
     """
-    return _encode(data, "\n")
+    if not isinstance(data, dict) or not data:
+        return json.dumps(data, sort_keys=True)
+    return "".join(_pieces(data))
 
 
-def _encode(o, newline: str) -> str:
-    """One JSON value; ``newline`` starts a line at the value's own indent."""
-    t = type(o)
-    if t is str:
-        return _quote(o)
-    if t is dict:
-        return _encode_dict(o, newline)
-    if t is list:
-        return _encode_list(o, newline)
-    if isinstance(o, (list, tuple)):
-        return _encode_list(o, newline)
-    if isinstance(o, dict):
-        return _encode_dict(o, newline)
-    return json.dumps(o)
-
-
-def _encode_list(items, newline: str) -> str:
-    if not items:
-        return "[]"
-    inner = newline + "  "
-    return "[" + inner + ("," + inner).join([
-        _quote(x) if type(x) is str else _encode(x, inner) for x in items
-    ]) + newline + "]"
-
-
-def _encode_dict(d, newline: str) -> str:
-    if not d:
-        return "{}"
-    inner = newline + "  "
-    return "{" + inner + ("," + inner).join(_members(d, inner)) + newline + "}"
-
-
-def _members(d, inner: str) -> list[str]:
-    """The ``"key": value`` texts of a dict whose members start lines at ``inner``."""
-    # json sorts the items before it converts non-str keys
-    return [
-        _quote(k if type(k) is str else _key(k)) + ": "
-        + (_quote(v) if type(v) is str else _encode(v, inner))
-        for k, v in sorted(d.items())
-    ]
-
-
-def _key(k) -> str:
-    if isinstance(k, str):
-        return k
-    if k is None or isinstance(k, (int, float)):
-        return json.dumps(k)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
-
-
-def _document(members: list[str]):
-    """The pieces of a top-level dict with these members, and a newline, in order."""
-    sep = "{\n  "
-    for member in members:
-        yield sep
-        yield member
-        sep = ",\n  "
-    yield "\n}\n"
+def _pieces(data: dict) -> list[str]:
+    """The text of a non-empty dict in the canonical layout, one piece per member and separator."""
+    pieces = ["{\n  "]
+    for k, v in sorted(data.items()):  # json sorts the items before it converts non-str keys
+        pieces += json.dumps({k: v}, sort_keys=True)[1:-1], ",\n  "
+    pieces[-1] = "\n}"
+    return pieces
 
 
 def _emit(data: dict, out=None) -> None:
     """Write ``data``, a non-empty dict, and a newline to the file ``out``, or to stdout.
 
-    The bytes are those of ``canonical_json(data) + "\n"``, written member
-    by member, so the document never exists as one string.  A target that
-    cannot be written, stdout closed by its reader or at start included,
-    is a DitopError.
+    The bytes are those of ``canonical_json(data) + "\n"``.  Each
+    top-level member is one ``json.dumps`` string, and the pieces are
+    written one by one, so the document never exists as one string.  A
+    target that cannot be written, stdout closed by its reader or at
+    start included, is a DitopError.
     """
     if not out and sys.stdout is None:  # descriptor 1 was closed at start
         raise DitopError("cannot write stdout: it is closed")
-    members = _members(data, "\n  ")
+    pieces = _pieces(data)
+    pieces.append("\n")
     try:
         if out:
             with open(out, "w", encoding="utf-8") as handle:
-                handle.writelines(_document(members))
+                handle.writelines(pieces)
         else:
-            sys.stdout.writelines(_document(members))
+            sys.stdout.writelines(pieces)
             sys.stdout.flush()
     except OSError as exc:
         raise DitopError(f"cannot write {out or 'stdout'}: {exc}") from None
@@ -252,8 +206,20 @@ def _cmd_factor_initial(args) -> tuple[dict, int]:
     }, 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage and error line go through :func:`_complain`.
+
+    argparse's own ``error`` prints the usage on stdout when
+    ``sys.stderr`` is None.  The subparsers inherit this class.
+    """
+
+    def error(self, message):
+        _complain(f"{self.format_usage()}{self.prog}: error: {message}\n")
+        self.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ditop",
         description="directed topology over finite precubical sets",
     )
@@ -319,10 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _complain(message: str) -> None:
-    """Write a failed run's one ``ditop:`` line to stderr; a closed or unwritable one loses it."""
+def _complain(text: str) -> None:
+    """Write a failed run's error text to stderr; a closed or unwritable one loses it."""
     try:
-        sys.stderr.write(f"ditop: {message}\n")
+        sys.stderr.write(text)
     except (AttributeError, OSError):  # None when descriptor 2 was closed at start, or unwritable
         pass
 
@@ -342,10 +308,10 @@ def main(argv=None) -> int:
         _emit(data, getattr(args, "out", None))
         return code
     except ResourceLimitError as exc:
-        _complain(f"resource limit: {exc}")
+        _complain(f"ditop: resource limit: {exc}\n")
         return 3
     except DitopError as exc:
-        _complain(str(exc))
+        _complain(f"ditop: {exc}\n")
         return 2
     finally:
         if collecting:

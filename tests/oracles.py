@@ -11,8 +11,8 @@ a projection by backtracking search over its fibres, isomorphisms
 by backtracking over cells, PV state spaces by testing every grid
 cell against every hold interval, P/V matching by counting what each
 process holds, every state's least path by extending its parent's
-path as a whole tuple, and canonical JSON by the standard library's own
-encoder.  The checked loader and both validators are
+path as a whole tuple, and canonical JSON by reshaping the standard library's
+indented text.  The checked loader and both validators are
 here as they were before the loader read its face table directly: one
 ``face()`` call per lookup and a new ``Cell`` per face entry.  Complex
 surgery that only tests need, such as redirecting one face entry, lives
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from collections import Counter
 
 from ditop import (
@@ -39,8 +40,22 @@ from ditop.pv import CompiledProgram, ForbiddenRegion, _cell_name, hold_interval
 
 
 def stdlib_canonical_json(data) -> str:
-    """The layout every CLI output must have, written by ``json`` itself."""
-    return json.dumps(data, indent=2, sort_keys=True)
+    """The layout every CLI output must have, reshaped from ``json``'s own indented text.
+
+    A non-empty dict has one top-level member per line, indented two
+    spaces, each written as ``json.dumps`` writes it with its default
+    separators; any other value is one ``json.dumps(data, sort_keys=True)``.
+    Here json indents every level with a tab, and every line break below
+    the top level is then taken out again: json escapes every newline
+    and tab inside a string, so each one left in the text is layout.
+    """
+    if not isinstance(data, dict) or not data:
+        return json.dumps(data, sort_keys=True)
+    text = json.dumps(data, indent="\t", separators=(",", ": "), sort_keys=True)
+    text = re.sub(r"\n\t+(?=[\]}])", "", text)  # a nested container's closing line
+    text = re.sub(r",\n\t\t+", ", ", text)  # between the items of a nested container
+    text = re.sub(r"\n\t\t+", "", text)  # after a nested container's opening bracket
+    return text.replace("\n\t", "\n  ")
 
 
 def out_table(space):

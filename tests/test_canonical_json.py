@@ -1,4 +1,4 @@
-"""``cli.canonical_json`` against ``json.dumps(indent=2, sort_keys=True)``."""
+"""``cli.canonical_json`` against ``oracles.stdlib_canonical_json``, reshaped from json's own text."""
 
 import math
 from typing import NamedTuple

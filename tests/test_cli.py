@@ -596,8 +596,14 @@ FIXTURE_VERBS = {
 }
 
 
+def without_top_level_breaks(text: str) -> str:
+    """A document in the canonical layout with its top-level line breaks taken out."""
+    # json escapes every newline inside a string, so each one here is layout
+    return text.replace("{\n  ", "{").replace(",\n  ", ", ").replace("\n}", "}")
+
+
 class TestOutputLayout:
-    """Every verb writes exactly what ``json.dumps(indent=2, sort_keys=True)`` writes."""
+    """Every verb writes one sorted top-level member per line, each as ``json.dumps`` writes it."""
 
     @pytest.mark.parametrize("verb", sorted(FIXTURE_VERBS))
     def test_stdout_matches_the_standard_library(self, run, monkeypatch, verb):
@@ -605,6 +611,7 @@ class TestOutputLayout:
         code, out, err = run(*FIXTURE_VERBS[verb])
         assert code in (0, 1) and err == ""
         assert out == oracles.stdlib_canonical_json(json.loads(out)) + "\n"
+        assert without_top_level_breaks(out) == json.dumps(json.loads(out), sort_keys=True) + "\n"
 
     def test_unfold_out_file_matches_the_standard_library(self, run, tmp_path):
         out_path = tmp_path / "unfolded.json"
@@ -613,6 +620,7 @@ class TestOutputLayout:
         assert (code, out) == (0, "")
         text = out_path.read_text(encoding="utf-8")
         assert text == oracles.stdlib_canonical_json(json.loads(text)) + "\n"
+        assert without_top_level_breaks(text) == json.dumps(json.loads(text), sort_keys=True) + "\n"
 
 
 def write_inputs(where: Path, n: int) -> None:
@@ -797,14 +805,15 @@ def test_every_vertex_flag_names_an_unknown_vertex_in_one_line(tmp_path, monkeyp
         2, "", "ditop: 'nowhere' is not a vertex of the complex\n")
 
 
-@pytest.mark.parametrize("case", ["bad vertex", "budget 0", "validate"])
+@pytest.mark.parametrize("case", ["bad vertex", "budget 0", "validate", "argument error"])
 @pytest.mark.parametrize("lose_stderr", [
     pytest.param(lambda: os.close(2), id="closed"),
     pytest.param(lambda: os.dup2(os.open(os.devnull, os.O_RDONLY), 2), id="read-only"),
 ])
 def test_a_closed_or_unwritable_stderr_keeps_stdout_and_the_exit_code(module_runs, tmp_path, case,
                                                                       lose_stderr):
-    # the error line is lost, never moved to stdout, and the code stays 2, 3 or 0
+    # the error line, or argparse's usage and error, is lost, never moved
+    # to stdout, and the code stays 2, 3 or 0
     write_inputs(tmp_path, 3)
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
     done = subprocess.run([sys.executable, "-m", "ditop.cli", *PROCESS_CASES[case][0](3)],

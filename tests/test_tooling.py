@@ -64,6 +64,20 @@ def test_json_is_indented_only_by_the_canonical_emitter():
                 assert None not in keywords, f"{path.name}:{node.lineno} passes **kwargs"
 
 
+def test_json_is_written_only_by_the_cli_and_never_by_json_dump():
+    # json.dump runs the pure-Python encoder even without indent, and
+    # cli.canonical_json is the one writer of every document
+    writers = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ("dump", "dumps"):
+                    writers.setdefault(name, set()).add(path.stem)
+    assert writers == {"dumps": {"cli"}}
+
+
 def strings_by_function(fragment: str) -> dict[str, set[str]]:
     """Module -> the functions whose code (docstrings aside) holds ``fragment``."""
     found: dict[str, set[str]] = {}

@@ -6,7 +6,8 @@ per line, each written by json's C encoder) and reports problems on
 stderr.  Exit codes: 0 success, 1 domain-level negative verdict (a
 validation report with violations, a failed cover check, a failed
 universality suite, deadlocks found), 2 malformed input or output that
-cannot be written, 3 exhausted search budget.  Knobs that shaped a run
+cannot be written, 3 exhausted search budget, 4 an internal error (any
+other exception, reported in one line).  Knobs that shaped a run
 (depth, budgets, length caps) are echoed in the output under ``"meta"``.
 
 Each verb imports the modules it uses when it runs, so one call loads
@@ -24,6 +25,8 @@ import gc
 import json
 import os
 import sys
+from contextlib import nullcontext
+from typing import Iterator
 
 from .errors import DEFAULT_BUDGET, DitopError, ResourceLimitError
 
@@ -46,35 +49,48 @@ def canonical_json(data) -> str:
     return "".join(_pieces(data))
 
 
-def _pieces(data: dict) -> list[str]:
-    """The text of a non-empty dict in the canonical layout, one piece per member and separator."""
-    pieces = ["{\n  "]
+_SLICE = 1000  # the most items of a list or dict member that one json.dumps call writes
+
+
+def _pieces(data: dict) -> Iterator[str]:
+    """The text of a non-empty dict in the canonical layout, piece by piece.
+
+    A member is one piece, unless its value is a list or dict of more than
+    ``_SLICE`` items: then it is written ``_SLICE`` items at a time, and a
+    dict's items are sorted first, as json sorts them.
+    """
+    separator = "{\n  "
     for k, v in sorted(data.items()):  # json sorts the items before it converts non-str keys
-        pieces += json.dumps({k: v}, sort_keys=True)[1:-1], ",\n  "
-    pieces[-1] = "\n}"
-    return pieces
+        yield separator
+        separator = ",\n  "
+        if not isinstance(v, (list, tuple, dict)) or len(v) <= _SLICE:
+            yield json.dumps({k: v}, sort_keys=True)[1:-1]
+            continue
+        wrap = dict if isinstance(v, dict) else list
+        items = sorted(v.items()) if wrap is dict else v
+        head = json.dumps({k: wrap()})[1:-1]  # the member with an empty value
+        yield head[:-1]
+        for i in range(0, len(items), _SLICE):
+            yield (", " if i else "") + json.dumps(wrap(items[i:i + _SLICE]), sort_keys=True)[1:-1]
+        yield head[-1]
+    yield "\n}"
 
 
 def _emit(data: dict, out=None) -> None:
     """Write ``data``, a non-empty dict, and a newline to the file ``out``, or to stdout.
 
-    The bytes are those of ``canonical_json(data) + "\n"``.  Each
-    top-level member is one ``json.dumps`` string, and the pieces are
-    written one by one, so the document never exists as one string.  A
-    target that cannot be written, stdout closed by its reader or at
-    start included, is a DitopError.
+    The bytes are those of ``canonical_json(data) + "\n"``.  Each piece
+    is written as it is made, so the document never exists as one
+    string.  A target that cannot be written, stdout closed by its
+    reader or at start included, is a DitopError.
     """
     if not out and sys.stdout is None:  # descriptor 1 was closed at start
         raise DitopError("cannot write stdout: it is closed")
-    pieces = _pieces(data)
-    pieces.append("\n")
     try:
-        if out:
-            with open(out, "w", encoding="utf-8") as handle:
-                handle.writelines(pieces)
-        else:
-            sys.stdout.writelines(pieces)
-            sys.stdout.flush()
+        with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as handle:
+            handle.writelines(_pieces(data))
+            handle.write("\n")
+            handle.flush()
     except OSError as exc:
         raise DitopError(f"cannot write {out or 'stdout'}: {exc}") from None
 
@@ -173,23 +189,13 @@ def _cmd_universal(args) -> tuple[dict, int]:
 
 def _cmd_pv_compile(args) -> tuple[dict, int]:
     from . import pv
-    from .precubical import _read_text, complex_to_data, vertex
+    from .errors import read_text
 
-    program = pv.parse(_read_text(args.file))
-    compiled = pv.build_complex(program)
-    data = complex_to_data(compiled.space)
-    data["forbidden"] = pv.forbidden_to_data(compiled.forbidden)
+    program = pv.parse(read_text(args.file))
+    final = args.final if args.final is not None else pv.top_corner(program)
+    data = pv.compile_to_data(program, final if args.deadlocks else None)
     data["meta"] = {"processes": len(program.processes), "resources": dict(program.resources)}
-    status = 0
-    if args.deadlocks:
-        final_key = args.final if args.final is not None else pv.top_corner(program)
-        final = vertex(final_key)
-        stuck = pv.deadlocks(compiled.space, final)
-        data["final"] = final.key
-        data["deadlocks"] = [v.key for v in stuck]
-        if stuck:
-            status = 1
-    return data, status
+    return data, 1 if data.get("deadlocks") else 0
 
 
 def _cmd_factor_initial(args) -> tuple[dict, int]:
@@ -225,63 +231,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("validate", help="check a complex file; violations exit 1")
-    p.add_argument("file")
-    p.set_defaults(run=_cmd_validate)
+    def verb(name, run, help_text, parent=sub) -> argparse.ArgumentParser:
+        p = parent.add_parser(name, help=help_text)
+        p.add_argument("file")
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("paths", help="enumerate directed paths between two vertices")
-    p.add_argument("file")
-    p.add_argument("--from", dest="src", required=True)
-    p.add_argument("--to", dest="dst", required=True)
-    p.add_argument("--max-len", type=int, default=DEFAULT_MAX_LEN)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.set_defaults(run=_cmd_paths)
-
-    p = sub.add_parser("classes", help="classify paths up to dihomotopy")
-    p.add_argument("file")
-    p.add_argument("--from", dest="src", required=True)
-    p.add_argument("--to", dest="dst", required=True)
-    p.add_argument("--max-len", type=int, default=DEFAULT_MAX_LEN)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.set_defaults(run=_cmd_classes)
-
-    p = sub.add_parser("preorder", help="reachability preorder on vertices")
-    p.add_argument("file")
-    p.set_defaults(run=_cmd_preorder)
-
-    p = sub.add_parser("unfold", help="universal dicovering, truncated at a depth")
-    p.add_argument("file")
-    p.add_argument("--base", required=True)
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--out")
-    p.set_defaults(run=_cmd_unfold)
-
-    p = sub.add_parser("check-cover", help="decide the unique-lifting conditions")
-    p.add_argument("file")
-    p.add_argument("--base")
-    p.set_defaults(run=_cmd_check_cover)
-
-    p = sub.add_parser("universal", help="universality suite against projections")
-    p.add_argument("file")
-    p.add_argument("--base", required=True)
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--against", nargs="+", required=True, metavar="PROJ_FILE")
-    p.set_defaults(run=_cmd_universal)
+    verb("validate", _cmd_validate, "check a complex file; violations exit 1")
+    for name, run, help_text in (
+        ("paths", _cmd_paths, "enumerate directed paths between two vertices"),
+        ("classes", _cmd_classes, "classify paths up to dihomotopy"),
+    ):
+        p = verb(name, run, help_text)
+        p.add_argument("--from", dest="src", required=True)
+        p.add_argument("--to", dest="dst", required=True)
+        p.add_argument("--max-len", type=int, default=DEFAULT_MAX_LEN)
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    verb("preorder", _cmd_preorder, "reachability preorder on vertices")
+    unfold = verb("unfold", _cmd_unfold, "universal dicovering, truncated at a depth")
+    verb("check-cover", _cmd_check_cover, "decide the unique-lifting conditions").add_argument("--base")
+    universal = verb("universal", _cmd_universal, "universality suite against projections")
+    for p in (unfold, universal):
+        p.add_argument("--base", required=True)
+        p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    unfold.add_argument("--out")
+    universal.add_argument("--against", nargs="+", required=True, metavar="PROJ_FILE")
 
     p_pv = sub.add_parser("pv", help="PV program front end")
-    pv_sub = p_pv.add_subparsers(dest="pv_verb", required=True)
-    p = pv_sub.add_parser("compile", help="compile a PV program to its state space")
-    p.add_argument("file")
+    p = verb("compile", _cmd_pv_compile, "compile a PV program to its state space",
+             p_pv.add_subparsers(dest="pv_verb", required=True))
     p.add_argument("--deadlocks", action="store_true")
     p.add_argument("--final")
-    p.set_defaults(run=_cmd_pv_compile)
 
-    p = sub.add_parser("factor-initial", help="factor the morphism out of the empty complex")
-    p.add_argument("file")
-    p.set_defaults(run=_cmd_factor_initial)
-
+    verb("factor-initial", _cmd_factor_initial, "factor the morphism out of the empty complex")
     return parser
 
 
@@ -313,6 +296,9 @@ def main(argv=None) -> int:
     except DitopError as exc:
         _complain(f"ditop: {exc}\n")
         return 2
+    except Exception as exc:  # a fault of ditop itself, never a verdict
+        _complain(f"ditop: internal error: {exc!r}\n")
+        return 4
     finally:
         if collecting:
             gc.enable()
@@ -321,8 +307,8 @@ def main(argv=None) -> int:
 def run() -> None:
     """The process entry point: ``main``, then exit with no interpreter teardown.
 
-    Argument errors and unexpected exceptions leave through the normal
-    shutdown, as ``SystemExit`` and tracebacks do.
+    Argument errors leave through the normal shutdown, as ``SystemExit``
+    does.
     """
     code = main()
     for stream in (sys.stdout, sys.stderr):

@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the file reader that raises one."""
 
 from __future__ import annotations
 
@@ -9,6 +9,17 @@ class DitopError(Exception):
 
 class InputError(DitopError):
     """Malformed input: a bad file, an unknown cell, a violated precondition."""
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of the file at ``path``; InputError when it cannot be read."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 class ResourceLimitError(DitopError):

@@ -24,7 +24,7 @@ import json
 import os
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .errors import InputError
+from .errors import InputError, read_text
 
 FaceKey = tuple["Cell", int, int]
 
@@ -553,21 +553,9 @@ def morphism_from_data(data, base_dir=None, check: bool = True) -> PcMorphism:
     return f
 
 
-def _read_text(path) -> str:
-    """The UTF-8 text of the file at ``path``; InputError when it cannot be read."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path} is not UTF-8 text: {exc}") from None
-
-
 def _load_json(path) -> object:
-    text = _read_text(path)
     try:
-        return json.loads(text)
+        return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
     except RecursionError:

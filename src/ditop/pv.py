@@ -23,9 +23,11 @@ the surviving cells always form a genuine precubical set.
 Compilation works from per-axis tables, after Fajstrup, Goubault and
 Raussen's per-process hold intervals: each process's spans, their
 names, and per resource whether the span meets a holding interval are
-computed once.  A grid cell is then decided by summing its spans'
-entries, named by joining theirs, and each face is found by swapping
-one axis's edge span for an end vertex and looking the stored cell up.
+computed once.  One walk over the axes then lays the grid out in code
+order, the mixed radix of the axis lengths, as three flat columns: each
+cell's name, whether it is kept, and its kind (which axes it spans).  A
+face is found by code arithmetic: the ends of an edge span sit a fixed
+number of axis strides below it.
 
 Grid cells are named by their per-process spans, e.g. ``"1x2"`` for the
 vertex at positions (1, 2) and ``"1-2x2"`` for the horizontal edge above
@@ -36,11 +38,15 @@ well as top-dimensional cells.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from itertools import compress
+from operator import not_
+from typing import TYPE_CHECKING, NamedTuple
 
 from ._frozen import Frozen, set_field
 from .errors import PvSemanticError, PvSyntaxError
-from .precubical import Cell, FaceKey, PrecubicalSet
+
+if TYPE_CHECKING:
+    from .precubical import Cell, PrecubicalSet
 
 
 class PvAction(Frozen):
@@ -232,51 +238,36 @@ def _cell_name(multi_index: tuple[tuple[int, int], ...]) -> str:
     return "x".join(_span_name(span) for span in multi_index)
 
 
-def _axis_tables(program: PvProgram, width: int) -> list[list[tuple]]:
-    """Per process, its spans in index order as (span, name, load).
+def _axis_tables(program: PvProgram, width: int) -> list[tuple[list[str], list[int]]]:
+    """Per process, the names and loads of its spans in index order.
 
     Index k < n + 1 of an axis of n actions is the vertex span (k, 0) and
     index n + 1 + k the edge span (k, 1).  A span's load holds one
-    ``width``-bit field per resource, set to 1 when the span meets one
-    of the process's hold intervals of that resource: a process that
-    holds a resource twice still counts once.
+    ``width``-bit field per resource, 1 when the span meets a hold
+    interval (a, b) of the process (vertex k when a < k < b, edge k when
+    a <= k < b), so a process that holds a resource twice counts once.
     """
-    def meets(span: tuple[int, int], interval: tuple[int, int]) -> bool:
-        lo, extent = span
-        a, b = interval
-        if extent:
-            return lo < b and lo + 1 > a
-        return a < lo < b
-
     tables = []
     for actions, holds in zip(program.processes, hold_intervals(program)):
         n = len(actions)
         spans = [(k, 0) for k in range(n + 1)] + [(k, 1) for k in range(n)]
-        tables.append([
-            (
-                span,
-                _span_name(span),
-                sum(
-                    1 << (width * r)
-                    for r, resource in enumerate(program.resources)
-                    if any(meets(span, iv) for iv in holds.get(resource, ()))
-                ),
-            )
-            for span in spans
-        ])
+        loads = [0] * len(spans)
+        for r, resource in enumerate(program.resources):
+            intervals = holds.get(resource, ())
+            for index in {i for a, b in intervals for i in (*range(a + 1, b), *range(n + 1 + a, n + 1 + b))}:
+                loads[index] += 1 << (width * r)
+        tables.append(([_span_name(span) for span in spans], loads))
     return tables
 
 
-def build_complex(program: PvProgram) -> CompiledProgram:
-    """Compile a program to its state space and the removed region.
+def _walk(program: PvProgram) -> tuple[list[tuple[int, int]], list[str], list[bool], list[int]]:
+    """The grid in code order: per process ``(n, stride)``, per cell its name, kept flag and kind.
 
-    The grid is enumerated axis by axis from per-process tables.  A cell's
-    load is the sum of its spans' loads, so each resource's field counts
-    the processes holding it somewhere on the cell.  Each field starts at
-    ``2**(width - 1) - 1 - capacity``, and so reaches its top bit exactly
-    when the holders exceed the capacity.  The result always validates:
-    forbiddenness is decided pointwise, so removing the forbidden cells
-    can never strand a face.
+    Axes are laid out from the last process to the first.  Bit p of a
+    kind is set when the cell spans an edge of process p.  A cell's load
+    is the sum of its spans' loads; each resource's field starts at
+    ``2**(width - 1) - 1 - capacity``, so it reaches its top bit exactly
+    when the processes holding it on the cell exceed the capacity.
     """
     capacities = list(program.resources.values())
     width = max([len(program.processes), *capacities]).bit_length() + 1
@@ -284,49 +275,73 @@ def build_complex(program: PvProgram) -> CompiledProgram:
     start = sum((top - 1 - cap) << (width * r) for r, cap in enumerate(capacities))
     over = sum(top << (width * r) for r in range(len(capacities)))
 
-    # One entry per grid cell, in product order, so that its position is
-    # its code in the mixed radix of the axis lengths.  An entry is
-    # (spans, span names, load, dim, face offsets): the ends of an edge
-    # span of an axis with n actions sit n + 1 and n indices below it,
-    # so each edge axis, in direction order, gives the two code offsets
-    # of the cell's faces.
-    grid = [((), (), start, 0, ())]
-    stride = 1
-    for axis in reversed(_axis_tables(program, width)):
-        n = len(axis) // 2
-        offsets = ((n + 1) * stride, n * stride)
-        grid = [
-            (
-                (span,) + tail,
-                (name,) + rest,
-                load + tail_load,
-                span[1] + tail_dim,
-                (offsets,) + deltas if span[1] else deltas,
-            )
-            for span, name, load in axis
-            for tail, rest, tail_load, tail_dim, deltas in grid
-        ]
-        stride *= len(axis)
+    axes = []
+    names, loads, kinds = [""], [start], [0]
+    for p, (axis_names, axis_loads) in reversed(list(enumerate(_axis_tables(program, width)))):
+        n = len(axis_names) // 2
+        axes.append((n, len(names)))
+        heads = [name + "x" for name in axis_names] if p < len(program.processes) - 1 else axis_names
+        names = [head + rest for head in heads for rest in names]
+        loads = [load + rest for load in axis_loads for rest in loads]
+        kinds = [kind + rest for kind in [0] * (n + 1) + [1 << p] * n for rest in kinds]
+    return axes[::-1], names, [not load & over for load in loads], kinds
 
-    at: list[Cell | None] = []
-    cells: dict[int, list[Cell]] = {}
-    removed = set()
-    for spans, names, load, dim, _ in grid:
-        if load & over:
-            removed.add(spans)
-            at.append(None)
-            continue
-        cell = Cell(dim, "x".join(names))
-        at.append(cell)
-        cells.setdefault(dim, []).append(cell)
-    faces: dict[FaceKey, Cell] = {}
-    for code, cell in enumerate(at):
-        if cell is None:
-            continue
-        for direction, (low, high) in enumerate(grid[code][4], 1):
-            faces[cell, direction, 0] = at[code - low]
-            faces[cell, direction, 1] = at[code - high]
-    return CompiledProgram(PrecubicalSet(cells, faces), ForbiddenRegion(frozenset(removed)))
+
+def compile_to_data(program: PvProgram, final: str | None = None) -> dict:
+    """The complex file of the program's state space, with its ``forbidden`` cells.
+
+    With ``final``, which must name a kept vertex, also ``final`` and
+    ``deadlocks``: every kept vertex but the final one that no kept edge
+    leaves, sorted.  Each kind of cell has its face slots: a face key
+    ``"i,a"`` and the code offset of that face.  The edge span at index
+    n + 1 + k of an axis with n actions has its faces n + 1 and n strides
+    below it, and directions count the spanned axes in process order.
+    """
+    axes, names, kept, kinds = _walk(program)
+    slots_of = {}
+    for kind in set(kinds):
+        spanned = [(n, stride) for p, (n, stride) in enumerate(axes) if kind >> p & 1]
+        slots_of[kind] = [
+            (f"{i},{a}", (n + 1 - a) * stride) for i, (n, stride) in enumerate(spanned, 1) for a in (0, 1)
+        ]
+    cells: dict[int, list[str]] = {}
+    faces = {}
+    for code in compress(range(len(names)), kept):
+        slots = slots_of[kinds[code]]
+        name = names[code]
+        cells.setdefault(len(slots) // 2, []).append(name)
+        if slots:
+            faces[name] = {key: names[code - offset] for key, offset in slots}
+    data = {
+        "cells": {str(dim): sorted(cells[dim]) for dim in sorted(cells)},
+        "faces": faces,
+        "forbidden": sorted(compress(names, map(not_, kept))),
+    }
+    if final is not None:
+        vertices = data["cells"]["0"]
+        if final not in vertices:
+            from .precubical import PrecubicalSet, vertex
+
+            PrecubicalSet.empty().check_vertex(vertex(final))
+        sources = {faces[e]["1,0"] for e in cells.get(1, ())}
+        data.update(final=final, deadlocks=[v for v in vertices if v not in sources and v != final])
+    return data
+
+
+def build_complex(program: PvProgram) -> CompiledProgram:
+    """Compile a program to its state space and the removed region.
+
+    The result always validates: forbiddenness is decided pointwise, so
+    removing the forbidden cells can never strand a face.
+    """
+    from .precubical import complex_from_data
+
+    data = compile_to_data(program)
+    removed = frozenset(
+        tuple((int(span.split("-")[0]), int("-" in span)) for span in name.split("x"))
+        for name in data["forbidden"]
+    )
+    return CompiledProgram(complex_from_data(data, check=False), ForbiddenRegion(removed))
 
 
 def top_corner(program: PvProgram) -> str:

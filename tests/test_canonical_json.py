@@ -6,7 +6,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ditop.cli import canonical_json
+from ditop.cli import _SLICE, canonical_json
 
 import oracles
 
@@ -104,6 +104,33 @@ ERRORS = [
 
 @pytest.mark.parametrize("data", ERRORS, ids=range(len(ERRORS)))
 def test_unwritable_values_raise_type_error_as_the_standard_library(data):
+    expected = outcome(oracles.stdlib_canonical_json, data)
+    assert expected[0] is TypeError
+    assert outcome(canonical_json, data) == expected
+
+
+LONG = 2 * _SLICE + 7
+
+
+def test_members_longer_than_a_slice_match_the_standard_library():
+    assert_same({
+        "list": list(range(LONG)),
+        "tuple": tuple(str(i) for i in range(LONG)),
+        "dict": {f"k{i}": {"b": [i, Point(i, "p")], "a": None} for i in range(LONG)},
+        "ints": {i: -i for i in range(LONG, 0, -1)},
+        "exactly one slice": list(range(_SLICE)),
+        "one past a slice": Table({str(i): Row([i]) for i in range(_SLICE + 1)}),
+        "nested": [[{"z": 1, "y": 2}]] * LONG,
+    })
+
+
+@pytest.mark.parametrize("data", [
+    {"a": 1, "long": [*range(LONG), object()]},
+    {"long": {**{f"k{i}": i for i in range(LONG)}, 1: "an int among strings"}},
+    {"long": {**{f"k{i}": i for i in range(LONG)}, "z": b"bytes"}},
+    {"long": {**{i: i for i in range(LONG)}, (1, 2): "tuple key"}},
+], ids=["unwritable item", "unsortable keys", "unwritable value", "unwritable key"])
+def test_long_members_raise_type_error_as_the_standard_library(data):
     expected = outcome(oracles.stdlib_canonical_json, data)
     assert expected[0] is TypeError
     assert outcome(canonical_json, data) == expected

@@ -754,6 +754,20 @@ def test_the_module_entry_point_matches_main(module_runs, tmp_path, monkeypatch,
     assert code == expected and (err == "") == (code < 2)
 
 
+@pytest.mark.parametrize("fault", [ZeroDivisionError("division by zero"), KeyError("two\nlines")])
+def test_an_unexpected_exception_exits_4_in_one_line(tmp_path, monkeypatch, capsys, fault):
+    import ditop.cli
+
+    def broken(args):
+        raise fault
+
+    write_inputs(tmp_path, 3)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(ditop.cli, "_cmd_preorder", broken)
+    assert run_in_process(PROCESS_CASES["preorder"][0](3), capsys) == (
+        4, "", f"ditop: internal error: {fault!r}\n")
+
+
 def test_an_error_exit_with_stdout_closed_at_start_keeps_its_code(tmp_path):
     # with descriptor 1 closed the interpreter has no sys.stdout to flush
     write_inputs(tmp_path, 3)

@@ -1,8 +1,12 @@
+import contextlib
+import io
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ditop import InputError, PvSemanticError, PvSyntaxError, validate, vertex
 from ditop import pv
+from ditop.cli import canonical_json, main
 from ditop.precubical import complex_to_data
 
 from conftest import MUTEX3_PV, SWISS_PV
@@ -207,6 +211,53 @@ def test_build_complex_matches_the_naive_compiler(program):
     assert compiled.forbidden == expected.forbidden
     final = vertex(pv.top_corner(program))
     assert pv.deadlocks(compiled.space, final) == pv.deadlocks(expected.space, final)
+
+
+def referee_document(program, deadlocks: bool) -> tuple[int, str]:
+    """The exit code and stdout of ``pv compile``, from the naive compiler and the built complex."""
+    expected = oracles.naive_build_complex(program)
+    data = complex_to_data(expected.space)
+    data["forbidden"] = pv.forbidden_to_data(expected.forbidden)
+    data["meta"] = {"processes": len(program.processes), "resources": program.resources}
+    code = 0
+    if deadlocks:
+        data["final"] = pv.top_corner(program)
+        data["deadlocks"] = [v.key for v in pv.deadlocks(expected.space, vertex(data["final"]))]
+        code = 1 if data["deadlocks"] else 0
+    return code, canonical_json(data) + "\n"
+
+
+def compile_verb(path, *flags) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["pv", "compile", str(path), *flags])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def program_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("pv") / "program.pv"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=12)
+@given(pv_programs())
+def test_pv_compile_writes_the_referee_document(program_file, program):
+    program_file.write_text(pv.serialize(program))
+    for flags in ((), ("--deadlocks",)):
+        code, out, err = compile_verb(program_file, *flags)
+        assert code in (0, 1) and err == ""
+        assert (code, out) == referee_document(program, bool(flags))
+
+
+@pytest.mark.parametrize("final", ["2x2", "9x9", "1-2x0", "2"])
+def test_a_final_that_is_not_a_kept_vertex_exits_2_in_one_line(tmp_path, final):
+    # 2x2 is a grid vertex where both processes hold a, 1-2x0 a kept edge,
+    # and 9x9 and 2 name no grid cell
+    path = tmp_path / "twice.pv"
+    path.write_text("res a:1; res b:1;\nproc Pa.Pb.Vb.Va;\nproc Pa.Pb.Vb.Va;\n")
+    assert "2x2" in pv.compile_to_data(pv.parse(path.read_text()))["forbidden"]
+    assert compile_verb(path, "--deadlocks", "--final", final) == (
+        2, "", f"ditop: {final!r} is not a vertex of the complex\n")
 
 
 @st.composite

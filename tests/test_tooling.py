@@ -378,6 +378,11 @@ class TestLazyLoading:
             "ditop", "ditop.cli", "ditop.errors", "ditop.precubical",
         }
 
+    def test_pv_compile_loads_no_complex(self, loaded):
+        assert ditop_modules(loaded["pv"]) == {
+            "ditop", "ditop._frozen", "ditop.cli", "ditop.errors", "ditop.pv",
+        }
+
     def test_preorder_skips_the_unrelated_layers(self, loaded):
         assert "ditop.dipath" in loaded["preorder"]
         for name in ("ditop.pv", "ditop.unfolding", "ditop.dicovering", "ditop.dihomotopy"):

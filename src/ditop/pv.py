@@ -306,14 +306,14 @@ def compile_to_data(program: PvProgram, final: str | None = None) -> dict:
         ]
     cells: dict[int, list[str]] = {}
     faces = {}
-    for code in compress(range(len(names)), kept):
+    for code in sorted(compress(range(len(names)), kept), key=names.__getitem__):  # in name order
         slots = slots_of[kinds[code]]
         name = names[code]
         cells.setdefault(len(slots) // 2, []).append(name)
         if slots:
             faces[name] = {key: names[code - offset] for key, offset in slots}
     data = {
-        "cells": {str(dim): sorted(cells[dim]) for dim in sorted(cells)},
+        "cells": {str(dim): cells[dim] for dim in sorted(cells)},
         "faces": faces,
         "forbidden": sorted(compress(names, map(not_, kept))),
     }

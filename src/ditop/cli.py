@@ -57,7 +57,7 @@ def _pieces(data: dict) -> Iterator[str]:
 
     A member is one piece, unless its value is a list or dict of more than
     ``_SLICE`` items: then it is written ``_SLICE`` items at a time, and a
-    dict's items are sorted first, as json sorts them.
+    dict's keys are sorted first, in the order json sorts its items.
     """
     separator = "{\n  "
     for k, v in sorted(data.items()):  # json sorts the items before it converts non-str keys
@@ -66,12 +66,12 @@ def _pieces(data: dict) -> Iterator[str]:
         if not isinstance(v, (list, tuple, dict)) or len(v) <= _SLICE:
             yield json.dumps({k: v}, sort_keys=True)[1:-1]
             continue
-        wrap = dict if isinstance(v, dict) else list
-        items = sorted(v.items()) if wrap is dict else v
-        head = json.dumps({k: wrap()})[1:-1]  # the member with an empty value
+        keys = sorted(v) if isinstance(v, dict) else None  # distinct keys sort as their items do
+        head = json.dumps({k: [] if keys is None else {}})[1:-1]  # the member with an empty value
         yield head[:-1]
-        for i in range(0, len(items), _SLICE):
-            yield (", " if i else "") + json.dumps(wrap(items[i:i + _SLICE]), sort_keys=True)[1:-1]
+        for i in range(0, len(v), _SLICE):
+            part = v[i:i + _SLICE] if keys is None else {key: v[key] for key in keys[i:i + _SLICE]}
+            yield (", " if i else "") + json.dumps(part, sort_keys=True)[1:-1]
         yield head[-1]
     yield "\n}"
 
@@ -150,10 +150,9 @@ def _cmd_preorder(args) -> tuple[dict, int]:
 
 def _cmd_unfold(args) -> tuple[dict, int]:
     from .precubical import load_complex, vertex
-    from .unfolding import unfold, unfolding_to_data
+    from .unfolding import unfold_to_data
 
-    u = unfold(load_complex(args.file), vertex(args.base), args.depth, budget=args.budget)
-    data = unfolding_to_data(u)
+    data = unfold_to_data(load_complex(args.file), vertex(args.base), args.depth, budget=args.budget)
     data["meta"] = {"depth": args.depth, "budget": args.budget}
     return data, 0
 

@@ -321,24 +321,25 @@ def reflect(
                     if dist is not None and dist.get(space.face(top, 1, 1), unreachable) > room:
                         continue
                     uf.union((ext[(t, left)], top), (ext[(t, bottom)], right))
-        # an extension no square touches is a class of its own
-        merged = uf.parent
-        groups: dict[tuple[int, Cell], list[tuple[int, Cell]]] = {}
-        for item in exts:
-            groups.setdefault(uf.find(item) if item in merged else item, []).append(item)
         # The states of a level are numbered in order of their least paths
-        # and out-edges are sorted, so exts runs in order of least path:
-        # each group's first item gives its least path, and the groups
-        # arise in that order.
+        # and out-edges are sorted, so exts runs in order of least path: a
+        # class's first extension, met in that order, gives its least path.
+        # An extension no square touches is a class of its own.
+        merged = uf.parent
+        state_of: dict[tuple[int, Cell], int] = {}
         stage = []
-        for members in groups.values():
-            idx = len(back)
-            back.append(members[0])
-            ends.append(space.face(members[0][1], 1, 1))
-            counts.append(sum(counts[v] for v, _ in members))
-            for item in members:
-                ext[item] = idx
-            stage.append(idx)
+        for item in exts:
+            root = uf.find(item) if item in merged else item
+            idx = state_of.get(root)
+            if idx is None:
+                idx = state_of[root] = len(back)
+                back.append(item)
+                ends.append(space.face(item[1], 1, 1))
+                counts.append(counts[item[0]])
+                stage.append(idx)
+            else:
+                counts[idx] += counts[item[0]]
+            ext[item] = idx
         stages.append(stage)
     return Reflection(x0, back, ends, counts, stages, ext)
 

@@ -16,10 +16,10 @@ stage = path length:
      classes;
 
 each state carries its path count and a back pointer, the state and
-edge whose extension is its least path.  This module
-assembles the total complex from the states: one edge per extension,
-and one n-cell per (state, n-cell rooted at its end) within the depth;
-the squares among them witness the merges.
+edge whose extension is its least path.  This module writes the total
+complex from the states as names, with no complex built: one edge per
+extension, and one n-cell per (state, n-cell rooted at its end) within
+the depth; the squares among them witness the merges.
 
 The iteration stops either at a fixed point (``complete``) or at the
 depth cap; directed loops downstairs make every finite depth
@@ -40,16 +40,11 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 from .errors import (
     DEFAULT_BUDGET, AmbiguousFactorizationError, InputError, ResourceLimitError, check_budget,
 )
-from .precubical import Cell, PcMorphism, PrecubicalSet, fibre, morphism_to_data
+from .precubical import Cell, PcMorphism, PrecubicalSet, complex_from_data, complex_to_data, fibre, morphism_to_data
 
 if TYPE_CHECKING:
     from .dicovering import DicoveringVerdict
     from .dihomotopy import DihomotopyClass, Reflection
-
-
-def _state_vertices(n: int) -> list[Cell]:
-    """The vertices of the total complex: state t is the vertex ``s{t}``."""
-    return [Cell(0, f"s{t}") for t in range(n)]
 
 
 class StateClasses(Mapping):
@@ -59,7 +54,7 @@ class StateClasses(Mapping):
 
     def __init__(self, r: Reflection):
         self._r = r
-        self._vertices = _state_vertices(len(r.back))
+        self._vertices = [Cell(0, f"s{t}") for t in range(len(r.back))]
         self._ids: dict[Cell, int] | None = None
 
     def __len__(self) -> int:
@@ -98,49 +93,72 @@ class Unfolding(NamedTuple):
         return self.reflection.x0
 
 
-def unfold(space: PrecubicalSet, x0: Cell, depth: int, budget: int = DEFAULT_BUDGET) -> Unfolding:
-    """Unfold the complex at a base vertex, truncated at ``depth`` edges.
+def _unfolded(space: PrecubicalSet, x0: Cell, depth: int, budget: int = DEFAULT_BUDGET) -> tuple[dict, Reflection]:
+    """The ``unfold`` document, written as names from the reflection, and the reflection.
 
-    ``budget`` caps the (state, edge) extensions of the reflection;
-    running past it raises ResourceLimitError, and a negative one is an
-    InputError.
+    State t is ``s{t}``, and an n-cell c rooted at its end lifts to
+    ``s{t}|{c.key}`` within the depth; the lift's face (i, 1) lies over the
+    state that extends t along c's corner edge in direction i.
     """
     from .dihomotopy import reflect
 
     space.check_vertex(x0)
     if depth < 0:
         raise InputError("depth must be non-negative")
-
     r = reflect(space, x0, depth, budget=budget)
+
+    def tail(f: Cell) -> str:  # the name of a face's lift, less its state
+        return f"|{f.key}" if f.dim else ""
+
     ends, ext = r.ends, r.ext
-    complete = all(not space.out_edges(ends[u]) for u in r.stages[-1])
-
-    # assemble the total complex: each n-cell c of X rooted at the end of
-    # state t lifts to s{t}|{c} when the state's length (its stage) plus n
-    # is within the depth; states are numbered stage by stage
-    vertices = _state_vertices(len(ends))
-
-    def lifted(t: int, c: Cell) -> Cell:
-        return Cell(c.dim, f"s{t}|{c.key}") if c.dim else vertices[t]
-
-    cells: dict[int, list[Cell]] = {0: vertices}
-    faces: dict[tuple[Cell, int, int], Cell] = {}
-    proj: dict[Cell, Cell] = dict(zip(vertices, ends))
+    names = [f"s{t}" for t in range(len(ends))]
+    cells = {"0": sorted(names)}
+    faces: dict[str, dict[str, str]] = {}
+    mapping = {name: v.key for name, v in zip(names, ends)}
     for dim in range(1, space.dimension + 1):
+        # per direction of a base cell: its two faces' keys and tails, and its corner edge
+        slots = {c: [(f"{i},0", tail(space.face(c, i, 0)), f"{i},1", tail(space.face(c, i, 1)),
+                      space.corner_edge(c, i)) for i in range(1, dim + 1)] for c in space.cells(dim)}
+        lifted = []
         for stage in r.stages[: max(depth - dim + 1, 0)]:
             for t in stage:
                 for c in space.rooted(ends[t], dim):
-                    cc = lifted(t, c)
-                    cells.setdefault(dim, []).append(cc)
-                    proj[cc] = c
-                    for i in range(1, dim + 1):
-                        faces[(cc, i, 0)] = lifted(t, space.face(c, i, 0))
-                        advanced = ext[(t, space.corner_edge(c, i))]
-                        faces[(cc, i, 1)] = lifted(advanced, space.face(c, i, 1))
+                    name = f"{names[t]}|{c.key}"
+                    lifted.append(name)
+                    mapping[name] = c.key
+                    row = faces[name] = {}
+                    for low, low_tail, high, high_tail, e in slots[c]:
+                        row[low] = names[t] + low_tail
+                        row[high] = names[ext[(t, e)]] + high_tail
+        if lifted:
+            cells[str(dim)] = sorted(lifted)
+    return {
+        "projection": {"source": {"cells": cells, "faces": faces}, "target": complex_to_data(space), "map": mapping},
+        "states": _states_to_data(r),
+        "complete": all(not space.out_edges(ends[u]) for u in r.stages[-1]),
+        "depth": depth,
+        "basepoint": x0.key,
+    }, r
 
-    total = PrecubicalSet(cells, faces)
-    projection = PcMorphism(total, space, proj)
-    return Unfolding(total, projection, r, complete, depth, vertices[0])
+
+def unfold_to_data(space: PrecubicalSet, x0: Cell, depth: int, budget: int = DEFAULT_BUDGET) -> dict:
+    """``unfolding_to_data(unfold(space, x0, depth, budget))``, with no complex built."""
+    return _unfolded(space, x0, depth, budget)[0]
+
+
+def unfold(space: PrecubicalSet, x0: Cell, depth: int, budget: int = DEFAULT_BUDGET) -> Unfolding:
+    """Unfold the complex at a base vertex, truncated at ``depth`` edges.
+
+    ``budget`` caps the (state, edge) extensions of the reflection;
+    running past it raises ResourceLimitError, and a negative one is an
+    InputError.  The total complex and its projection are read back from
+    the document of :func:`unfold_to_data`.
+    """
+    data, r = _unfolded(space, x0, depth, budget)
+    total = complex_from_data(data["projection"]["source"], check=False)
+    base, image = {c.key: c for c in space.all_cells()}, data["projection"]["map"]
+    projection = PcMorphism(total, space, {c: base[image[c.key]] for c in total.all_cells()})
+    return Unfolding(total, projection, r, data["complete"], depth, Cell(0, "s0"))
 
 
 class InitialFactorization(NamedTuple):
@@ -260,6 +278,13 @@ def universal_property_suite(
 # serialization
 
 
+def _states_to_data(r: Reflection) -> dict:
+    states = {"s0": {"parent": None, "edge": None}}
+    for t, (parent, e) in enumerate(r.back[1:], 1):
+        states[f"s{t}"] = {"parent": f"s{parent}", "edge": e.key}
+    return states
+
+
 def unfolding_to_data(u: Unfolding) -> dict:
     """The projection's file, with the states and the extent of the unfolding.
 
@@ -267,12 +292,9 @@ def unfolding_to_data(u: Unfolding) -> dict:
     Each state is written as a back pointer: the state whose least path,
     extended by ``edge``, is its own; the root has neither.
     """
-    states = {"s0": {"parent": None, "edge": None}}
-    for t, (parent, e) in enumerate(u.reflection.back[1:], 1):
-        states[f"s{t}"] = {"parent": f"s{parent}", "edge": e.key}
     return {
         "projection": morphism_to_data(u.projection),
-        "states": states,
+        "states": _states_to_data(u.reflection),
         "complete": u.complete,
         "depth": u.depth,
         "basepoint": u.basepoint.key,

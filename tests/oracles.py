@@ -9,7 +9,8 @@ lifts by exhaustive enumeration upstairs, cell lifts by counting every
 upstairs cell at its hand-walked minimal corner, factorizations through
 a projection by backtracking search over its fibres, isomorphisms
 by backtracking over cells, PV state spaces by testing every grid
-cell against every hold interval, P/V matching by counting what each
+cell against every hold interval, unfoldings as ``Cell``s and a face
+dict, P/V matching by counting what each
 process holds, every state's least path by extending its parent's
 path as a whole tuple, and canonical JSON by reshaping the standard library's
 indented text.  The checked loader and both validators are
@@ -615,6 +616,46 @@ def naive_build_complex(program) -> CompiledProgram:
                 target = tuple(collapsed)
                 faces[(cell, direction, sign)] = kept.get(target) or Cell(cell.dim - 1, _cell_name(target))
     return CompiledProgram(PrecubicalSet(cells, faces), ForbiddenRegion(frozenset(removed)))
+
+
+def naive_unfold(space, x0, depth):
+    """The unfolding assembled as ``Cell``s and a face dict, then frozen.
+
+    The reflection's states are the vertices ``s{t}``; each n-cell c
+    rooted at the end of state t lifts to ``s{t}|{c.key}`` when the
+    state's stage plus n is within the depth, and its face (i, 1) lies
+    over the state that extends t along c's corner edge in direction i.
+    """
+    from ditop.dihomotopy import reflect
+    from ditop.unfolding import Unfolding
+
+    space.check_vertex(x0)
+    if depth < 0:
+        raise InputError("depth must be non-negative")
+    r = reflect(space, x0, depth)
+    ends, ext = r.ends, r.ext
+    complete = all(not space.out_edges(ends[u]) for u in r.stages[-1])
+    vertices = [Cell(0, f"s{t}") for t in range(len(ends))]
+
+    def lifted(t, c):
+        return Cell(c.dim, f"s{t}|{c.key}") if c.dim else vertices[t]
+
+    cells = {0: vertices}
+    faces = {}
+    proj = dict(zip(vertices, ends))
+    for dim in range(1, space.dimension + 1):
+        for stage in r.stages[: max(depth - dim + 1, 0)]:
+            for t in stage:
+                for c in space.rooted(ends[t], dim):
+                    cc = lifted(t, c)
+                    cells.setdefault(dim, []).append(cc)
+                    proj[cc] = c
+                    for i in range(1, dim + 1):
+                        faces[(cc, i, 0)] = lifted(t, space.face(c, i, 0))
+                        advanced = ext[(t, space.corner_edge(c, i))]
+                        faces[(cc, i, 1)] = lifted(advanced, space.face(c, i, 1))
+    total = PrecubicalSet(cells, faces)
+    return Unfolding(total, PcMorphism(total, space, proj), r, complete, depth, vertices[0])
 
 
 # ---------------------------------------------------------------------------

@@ -411,3 +411,22 @@ class TestLazyLoading:
         assert ditop_modules(loaded["ditop.standard_cube"]) == {
             "ditop", "ditop.constructions", "ditop.errors", "ditop.precubical",
         }
+
+
+def test_unfold_builds_no_second_complex(monkeypatch, capsys):
+    # the verb writes its document from the reflection, so the loaded base
+    # is the one complex it builds
+    from ditop import cli
+    from ditop.precubical import PrecubicalSet
+
+    built = []
+    init = PrecubicalSet.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PrecubicalSet, "__init__", counted)
+    assert cli.main(["unfold", str(FIXTURES / "swiss.json"), "--base", "c00", "--depth", "12"]) == 0
+    assert '"complete": true' in capsys.readouterr().out
+    assert len(built) == 1

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import tempfile
@@ -5,7 +7,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ditop import (
     InputError,
@@ -16,6 +19,7 @@ from ditop import (
     compose,
     cylinder_projection,
     directed_circle,
+    directed_cycle,
     directed_path,
     enumerate_paths,
     factor_initial,
@@ -26,6 +30,7 @@ from ditop import (
     reachability_preorder,
     standard_cube,
     suite_to_data,
+    tensor,
     unfold,
     unfolding_to_data,
     universal_property_suite,
@@ -35,7 +40,9 @@ from ditop import (
 )
 from ditop import pv
 from ditop.cli import canonical_json, main
+from ditop.dicovering import verdict_to_data
 from ditop.dihomotopy import reflect
+from ditop.errors import DEFAULT_BUDGET
 from ditop.precubical import (
     complex_from_data, complex_to_data, load_complex, morphism_from_data, morphism_to_data,
 )
@@ -314,3 +321,72 @@ def test_pointers_rebuild_the_least_paths_on_random_grids(problem):
     space, x0, _, depth = problem
     with tempfile.TemporaryDirectory() as where:
         _assert_pointers_rebuild_the_least_paths(space, x0, depth, where)
+
+
+@st.composite
+def unfold_problems(draw):
+    """A complex, a base vertex, a depth of 0 to 6 and the default budget.
+
+    The complexes are grids with holes, tori, loop bouquets and the
+    state spaces of small PV crossings, whose 3-process ones have cubes.
+    """
+    kind = draw(st.sampled_from(["grid", "torus", "bouquet", "crossing"]))
+    if kind == "grid":
+        width, height = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        squares = [(x, y) for x in range(width) for y in range(height)]
+        space = grid(width, height, holes=draw(st.sets(st.sampled_from(squares))))
+    elif kind == "torus":
+        space = tensor(directed_cycle(draw(st.integers(1, 3))), directed_cycle(draw(st.integers(1, 2))))
+    elif kind == "bouquet":
+        space = bouquet(draw(st.integers(1, 3)))
+    else:
+        processes = draw(st.lists(st.sampled_from(["Pa.Va", "Pb.Pa.Va.Vb", "Pa.Va.Pb.Vb"]), min_size=2, max_size=3))
+        space = pv.build_complex(pv.parse("res a:1; res b:1;\n" + "".join(f"proc {p};\n" for p in processes))).space
+    return space, draw(st.sampled_from(space.vertices)), draw(st.integers(0, 6)), DEFAULT_BUDGET
+
+
+def _run(*argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(arg) for arg in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def unfold_files(tmp_path_factory):
+    where = tmp_path_factory.mktemp("unfold")
+    return where / "space.json", where / "unfolded.json", where / "projection.json"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(unfold_problems())
+@example((bouquet(2), vertex("o"), 6, 20))  # over budget at path length 4
+def test_unfold_writes_the_referee_document(unfold_files, problem):
+    space, x0, depth, budget = problem
+    source, out, proj = unfold_files
+    source.write_text(canonical_json(complex_to_data(space)))
+    argv = ["unfold", source, "--base", x0.key, "--depth", depth, "--budget", budget]
+    try:
+        reflect(space, x0, depth, budget=budget)
+    except ResourceLimitError as exc:
+        assert _run(*argv) == (3, "", f"ditop: resource limit: {exc}\n")
+        return
+    expected = oracles.naive_unfold(space, x0, depth)
+    data = unfolding_to_data(expected)
+    data["meta"] = {"depth": depth, "budget": budget}
+    document = canonical_json(data) + "\n"
+    assert _run(*argv) == (0, document, "")
+    out.unlink(missing_ok=True)
+    assert _run(*argv, "--out", out) == (0, "", "")
+    assert out.read_text() == document
+
+    u = unfold(space, x0, depth, budget=budget)
+    assert u.total == expected.total and u.projection.mapping == expected.projection.mapping
+    assert (u.complete, u.root) == (expected.complete, expected.root)
+
+    proj.write_text(json.dumps(json.loads(document)["projection"]))
+    for base in (None, x0):
+        verdict = check_dicovering(expected.projection, basepoint=base)
+        code, text, err = _run("check-cover", proj, *(["--base", base.key] if base else []))
+        assert (code, err) == (0 if verdict else 1, "")
+        assert json.loads(text) == {**verdict_to_data(verdict), "meta": {"basepoint": base and base.key}}

@@ -115,6 +115,7 @@ def _unfolded(space: PrecubicalSet, x0: Cell, depth: int, budget: int = DEFAULT_
     cells = {"0": sorted(names)}
     faces: dict[str, dict[str, str]] = {}
     mapping = {name: v.key for name, v in zip(names, ends)}
+    below = {name: name for name in names}  # a face is written as its cell's own name string
     for dim in range(1, space.dimension + 1):
         # per direction of a base cell: its two faces' keys and tails, and its corner edge
         slots = {c: [(f"{i},0", tail(space.face(c, i, 0)), f"{i},1", tail(space.face(c, i, 1)),
@@ -128,13 +129,14 @@ def _unfolded(space: PrecubicalSet, x0: Cell, depth: int, budget: int = DEFAULT_
                     mapping[name] = c.key
                     row = faces[name] = {}
                     for low, low_tail, high, high_tail, e in slots[c]:
-                        row[low] = names[t] + low_tail
-                        row[high] = names[ext[(t, e)]] + high_tail
+                        row[low] = below[names[t] + low_tail]
+                        row[high] = below[names[ext[(t, e)]] + high_tail]
         if lifted:
             cells[str(dim)] = sorted(lifted)
+        below = {name: name for name in lifted}
     return {
         "projection": {"source": {"cells": cells, "faces": faces}, "target": complex_to_data(space), "map": mapping},
-        "states": _states_to_data(r),
+        "states": _states_to_data(r, names),
         "complete": all(not space.out_edges(ends[u]) for u in r.stages[-1]),
         "depth": depth,
         "basepoint": x0.key,
@@ -278,10 +280,10 @@ def universal_property_suite(
 # serialization
 
 
-def _states_to_data(r: Reflection) -> dict:
-    states = {"s0": {"parent": None, "edge": None}}
+def _states_to_data(r: Reflection, names: list[str]) -> dict:
+    states = {names[0]: {"parent": None, "edge": None}}
     for t, (parent, e) in enumerate(r.back[1:], 1):
-        states[f"s{t}"] = {"parent": f"s{parent}", "edge": e.key}
+        states[names[t]] = {"parent": names[parent], "edge": e.key}
     return states
 
 
@@ -294,7 +296,7 @@ def unfolding_to_data(u: Unfolding) -> dict:
     """
     return {
         "projection": morphism_to_data(u.projection),
-        "states": _states_to_data(u.reflection),
+        "states": _states_to_data(u.reflection, [v.key for v in u.states]),
         "complete": u.complete,
         "depth": u.depth,
         "basepoint": u.basepoint.key,

@@ -29,7 +29,7 @@ which is the basepointed flavour of the definition.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from ._frozen import Frozen, set_field
 from .errors import (
@@ -41,8 +41,10 @@ from .errors import (
     ResourceLimitError,
     check_budget,
 )
-from .dipath import EdgePath, check_path, reachable
 from .precubical import Cell, PcMorphism, PrecubicalSet, fibre, identity
+
+if TYPE_CHECKING:  # the path layer loads only where a path is lifted or a basepoint given
+    from .dipath import EdgePath
 
 
 class LiftProblem(NamedTuple):
@@ -108,6 +110,8 @@ def lift_path(problem: LiftProblem) -> EdgePath:
     Raises NoLiftError / AmbiguousLiftError naming the base edge and the
     upstairs vertex at the first step with zero or several candidates.
     """
+    from .dipath import EdgePath, check_path
+
     p = problem.projection
     base, y = problem.base_path, problem.start_lift
     check_path(p.target, base)
@@ -147,6 +151,8 @@ def check_dicovering(p: PcMorphism, basepoint: Cell | None = None) -> Dicovering
     if basepoint is None:
         relevant = Y.vertices
     else:
+        from .dipath import reachable
+
         X.check_vertex(basepoint)
         relevant = sorted(reachable(Y, fibre(p, basepoint)))
 
@@ -247,6 +253,8 @@ def universality_check(
     ResourceLimitError once more than ``node_budget`` cells are lifted; a
     negative ``node_budget`` is an InputError.
     """
+    from .dipath import reachable
+
     check_budget(node_budget)
     if pi.target != p.target:
         raise InputError("both morphisms must share their target")
@@ -256,6 +264,7 @@ def universality_check(
     if pi(xt0) != p(y0):
         raise InputError("basepoint lifts sit over different base vertices")
     Xt, Y = pi.source, p.source
+    y_rows = Y.face_rows
     unreached = sorted(set(Xt.vertices) - reachable(Xt, [xt0]))
     if unreached:
         raise InputError(f"{unreached[0].key!r} cannot be reached from {xt0.key!r}")
@@ -291,7 +300,7 @@ def universality_check(
         for e, w in Xt.out_heads(v):
             if not lift(e, v):
                 return None
-            head = Y.face(phi[e], 1, 1)
+            head = y_rows[phi[e]][1]
             if w not in phi:
                 put(w, [head])
                 stack.append(w)

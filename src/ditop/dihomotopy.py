@@ -288,7 +288,7 @@ def reflect(
     check_budget(budget)
     dist = None if target is None else distances_to(space, target)
     unreachable = depth + 1
-    heads = space.out_heads
+    heads, rows = space.out_heads, space.face_rows
 
     back: list[tuple[int, Cell | None]] = [(0, None)]
     ends = [x0]
@@ -316,9 +316,8 @@ def reflect(
         if level >= 1:
             for t in stages[level - 1]:
                 for s in space.rooted(ends[t], 2):
-                    left, top = space.face(s, 1, 0), space.face(s, 2, 1)
-                    bottom, right = space.face(s, 2, 0), space.face(s, 1, 1)
-                    if dist is not None and dist.get(space.face(top, 1, 1), unreachable) > room:
+                    left, right, bottom, top = rows[s]
+                    if dist is not None and dist.get(rows[top][1], unreachable) > room:
                         continue
                     uf.union((ext[(t, left)], top), (ext[(t, bottom)], right))
         # The states of a level are numbered in order of their least paths
@@ -334,7 +333,7 @@ def reflect(
             if idx is None:
                 idx = state_of[root] = len(back)
                 back.append(item)
-                ends.append(space.face(item[1], 1, 1))
+                ends.append(rows[item[1]][1])
                 counts.append(counts[item[0]])
                 stage.append(idx)
             else:

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import repeat
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import InputError, read_text
@@ -59,9 +61,14 @@ class PrecubicalSet:
     ``(cell, direction, sign)`` triples to boundary cells.  Construction
     only normalises structure (sorting, key uniqueness across the whole
     complex); semantic soundness is the business of :func:`validate`.
+
+    The faces are stored as one row per cell: slot ``2(i - 1) + a`` holds
+    ``face(c, i, a)``, ``None`` where none is recorded, and a cell with no
+    face at all has the row ``()``.  Entries that fit no row, a face of an
+    undeclared cell or an index out of range, go in a side table.
     """
 
-    __slots__ = ("_cells", "_members", "_faces", "_rooted", "_heads")
+    __slots__ = ("_cells", "_rows", "_side", "_rooted", "_heads")
 
     def __init__(
         self,
@@ -81,9 +88,16 @@ class PrecubicalSet:
                     raise ValueError(f"duplicate cell key {c.key!r}")
                 seen.add(c.key)
             by_dim[dim] = tuple(cs)
-        self._cells = by_dim
-        self._members = frozenset(c for cs in by_dim.values() for c in cs)
-        self._faces = dict(faces)
+        rows = {c: [None] * (2 * c.dim) for cs in by_dim.values() for c in cs}
+        side: dict[FaceKey, Cell] = {}
+        for (c, i, a), t in faces.items():
+            row = rows.get(c)
+            if row is not None and 0 < i <= c.dim and a in (0, 1):
+                row[2 * i - 2 + a] = t
+            else:
+                side[(c, i, a)] = t
+        self._cells, self._side = by_dim, side
+        self._rows = {c: tuple(row) if row.count(None) < len(row) else () for c, row in rows.items()}
         self._rooted: dict[int, dict[Cell, tuple[Cell, ...]]] = {}
         self._heads: dict[Cell, tuple[tuple[Cell, Cell], ...]] | None = None
 
@@ -124,22 +138,33 @@ class PrecubicalSet:
         return not self._cells
 
     def __contains__(self, c: Cell) -> bool:
-        return c in self._members
+        return c in self._rows
 
     def face(self, c: Cell, direction: int, sign: int) -> Cell:
-        try:
-            return self._faces[(c, direction, sign)]
-        except KeyError:
-            raise KeyError(
-                f"no face ({direction},{sign}) recorded for cell {c.key!r}"
-            ) from None
+        row = self._rows.get(c)
+        if row and 0 < direction <= c.dim and sign in (0, 1):
+            t = row[2 * direction - 2 + sign]
+        else:
+            t = self._side.get((c, direction, sign))
+        if t is None:
+            raise KeyError(f"no face ({direction},{sign}) recorded for cell {c.key!r}")
+        return t
+
+    @property
+    def face_rows(self) -> Mapping[Cell, tuple[Cell | None, ...]]:
+        """Every cell's row, read-only: ``face(c, i, a)`` is ``face_rows[c][2 * (i - 1) + a]`` when recorded."""
+        return MappingProxyType(self._rows)
 
     def face_items(self) -> Iterator[tuple[FaceKey, Cell]]:
-        return iter(self._faces.items())
+        for c, row in self._rows.items():
+            for k, t in enumerate(row):
+                if t is not None:
+                    yield (c, k // 2 + 1, k % 2), t
+        yield from self._side.items()
 
     def check_vertex(self, v: Cell) -> Cell:
         """``v`` itself; InputError unless it is a vertex of the complex."""
-        if v.dim != 0 or v not in self._members:
+        if v.dim != 0 or v not in self._rows:
             raise InputError(f"{v.key!r} is not a vertex of the complex")
         return v
 
@@ -156,10 +181,8 @@ class PrecubicalSet:
         table = self._heads
         if table is None:
             self.out_edges(v)  # builds the out-edge table; raises when v is not a vertex
-            faces = self._faces
-            table = self._heads = {
-                u: tuple([(e, faces[(e, 1, 1)]) for e in es]) for u, es in self._rooted[1].items()
-            }
+            rows = self._rows
+            table = self._heads = {u: tuple([(e, rows[e][1]) for e in es]) for u, es in self._rooted[1].items()}
         try:
             return table[v]
         except KeyError:
@@ -169,7 +192,7 @@ class PrecubicalSet:
     def min_corner(self, c: Cell) -> Cell:
         """The vertex reached by walking every direction to its 0 side."""
         while c.dim > 0:
-            c = self.face(c, 1, 0)
+            c = self._rows[c][0]
         return c
 
     def rooted(self, v: Cell, dim: int) -> tuple[Cell, ...]:
@@ -182,12 +205,13 @@ class PrecubicalSet:
         """
         table = self._rooted.get(dim)
         if table is None:
-            get = self._faces.get
+            get = self._rows.get
             groups: dict[Cell, list[Cell]] = {u: [] for u in self.vertices}
             for c in self.cells(dim):
                 corner = c
                 for _ in range(dim):
-                    corner = get((corner, 1, 0))
+                    row = get(corner)
+                    corner = row[0] if row else None
                 group = groups.get(corner)
                 if group is not None:
                     group.append(c)
@@ -209,7 +233,7 @@ class PrecubicalSet:
         pos = direction
         while c.dim > 1:
             j = c.dim if pos != c.dim else c.dim - 1
-            c = self.face(c, j, 0)
+            c = self._rows[c][2 * j - 2]
             if j < pos:
                 pos -= 1
         return c
@@ -218,7 +242,8 @@ class PrecubicalSet:
         return (
             isinstance(other, PrecubicalSet)
             and self._cells == other._cells
-            and self._faces == other._faces
+            and self._rows == other._rows
+            and self._side == other._side
         )
 
     __hash__ = None  # type: ignore[assignment]
@@ -243,50 +268,71 @@ def validate(space: PrecubicalSet) -> list[Violation]:
     ``bad-face-index`` (direction or sign out of range), ``missing-face``
     (the face map is not total), ``dangling-face`` (target undeclared),
     ``face-dimension`` (target of the wrong dimension), and
-    ``cubical-identity``.  The face table is read once per face slot and
-    only offending entries are sorted.  An identity is checked only where
-    both first faces are recorded, so a cell without faces costs none.
+    ``cubical-identity``.  The identities are read from the face rows,
+    and only the side table is sorted.  An identity is checked only where
+    both first faces are recorded and have faces of their own, so a cell
+    whose faces have none costs time linear in its dimension.
     """
-    get = space._faces.get
-    members = space._members
-    report: list[Violation] = []
-    offending = [k for k in space._faces if k[0] not in members or not 1 <= k[1] <= k[0].dim or k[2] not in (0, 1)]
-    for (c, i, a) in sorted(offending):
-        if c not in members:
-            report.append(Violation("stray-face", f"face entry recorded for unknown cell {c.key!r}", c))
-        else:
-            report.append(Violation(
-                "bad-face-index", f"face ({i},{a}) out of range for cell {c.key!r} of dimension {c.dim}", c))
+    rows, side = space._rows, space._side
+    report = [
+        Violation("bad-face-index", f"face ({i},{a}) out of range for cell {c.key!r} of dimension {c.dim}", c)
+        if c in rows else Violation("stray-face", f"face entry recorded for unknown cell {c.key!r}", c)
+        for (c, i, a) in sorted(side)
+    ]
+    sided = {k[0] for k in side}
+
+    def first(t: Cell | None, n: int) -> tuple:
+        """t's faces in directions 1..n as the face table holds them; ``()`` when it has none."""
+        row = rows.get(t, ())
+        if len(row) >= 2 * n or not (row or t in sided):
+            return row
+        return tuple(row[k] if k < len(row) else side.get((t, k // 2 + 1, k % 2)) for k in range(2 * n))
 
     identities: list[Violation] = []
     for dim, cs in space._cells.items():
         if not dim:
             continue
-        slots = [(i, a) for i in range(1, dim + 1) for a in (0, 1)]
         sound = frozenset(space._cells.get(dim - 1, ()))
         for c in cs:
-            row = [get((c, i, a)) for i, a in slots]
-            if sound.issuperset(row):
+            row = rows[c]
+            if row and sound.issuperset(row):
+                if dim == 1:
+                    continue
+                firsts = [rows[t] for t in row]
+                # all identities with face k = (i, a) inner: column k of the faces in
+                # directions above 1 against face k's row, each from direction i on
+                if all(firsts) and all(col[k - k % 2:] == firsts[k][k - k % 2:]
+                                       for k, col in enumerate(zip(*firsts[2:]))):
+                    continue
                 recorded = range(1, dim + 1)
             else:
-                for (i, a), t in zip(slots, row):
+                row = row or (None,) * (2 * dim)
+                for k, t in enumerate(row):
+                    i, a = k // 2 + 1, k % 2
                     where = f"face ({i},{a}) of {c.key!r}"
                     if t is None:
                         report.append(Violation("missing-face", f"cell {c.key!r} lacks face ({i},{a})", c))
-                    elif t not in members:
+                    elif t not in rows:
                         report.append(Violation("dangling-face", f"{where} is the undeclared cell {t.key!r}", c))
                     elif t.dim != dim - 1:
                         report.append(Violation(
                             "face-dimension", f"{where} has dimension {t.dim}, expected {dim - 1}", c))
+                views = {t: first(t, dim - 1) for t in set(row)}
+                firsts = [views[t] for t in row]
                 recorded = [i for i in range(1, dim + 1) if row[2 * i - 2] is not None or row[2 * i - 1] is not None]
-            # face(face(c,j,b),i,a) == face(face(c,i,a),j-1,b) for i < j; a
-            # missing first face is None, which has no faces either
+            # face(face(c,j,b),i,a) == face(face(c,i,a),j-1,b) for i < j, read
+            # off the rows of the first faces; a first face with no faces is ()
             for n, j in enumerate(recorded):
+                bs = [b for b in (0, 1) if firsts[2 * j - 2 + b]]
+                if not bs:
+                    continue
                 for i in recorded[:n]:
                     for a in (0, 1):
-                        for b in (0, 1):
-                            lhs = get((row[2 * j - 2 + b], i, a))
-                            rhs = get((row[2 * i - 2 + a], j - 1, b))
+                        low = firsts[2 * i - 2 + a]
+                        if not low:
+                            continue
+                        for b in bs:
+                            lhs, rhs = firsts[2 * j - 2 + b][2 * i - 2 + a], low[2 * j - 4 + b]
                             if lhs is not None and rhs is not None and lhs != rhs:
                                 identities.append(Violation(
                                     "cubical-identity",
@@ -347,13 +393,12 @@ def compose(outer: PcMorphism, inner: PcMorphism) -> PcMorphism:
 
 
 def validate_morphism(f: PcMorphism) -> list[Violation]:
-    """Totality, dimension preservation and face commutation, read off both face tables."""
+    """Totality, dimension preservation and face commutation, read off both face rows."""
     image = f.mapping.get
-    source_face = f.source._faces.get
-    target_face = f.target._faces.get
-    targets = f.target._members
+    rows, targets = f.source._rows, f.target._rows
     report: list[Violation] = []
     for dim, cs in f.source._cells.items():
+        blank = (None,) * (2 * dim)
         for c in cs:
             d = image(c)
             if d is None and c not in f.mapping:
@@ -362,16 +407,14 @@ def validate_morphism(f: PcMorphism) -> list[Violation]:
                 report.append(Violation("map-target", f"image {d.key!r} of {c.key!r} is not a target cell", c))
             elif d.dim != dim:
                 report.append(Violation("map-dimension", f"{c.key!r} of dim {dim} maps to {d.key!r} of dim {d.dim}", c))
-            else:
-                for i in range(1, dim + 1):
-                    for a in (0, 1):
-                        s = source_face((c, i, a))
-                        t = target_face((d, i, a))
-                        if s is None or t is None:
-                            report.append(Violation("map-faces", f"cannot resolve faces ({i},{a}) under {c.key!r}", c))
-                        elif image(s) != t:
-                            report.append(Violation(
-                                "map-faces", f"map(face({c.key!r},{i},{a})) != face(map({c.key!r}),{i},{a})", c))
+            elif tuple(map(image, rows[c])) != targets[d] or None in targets[d] or (dim and not targets[d]):
+                for k, (s, t) in enumerate(zip(rows[c] or blank, targets[d] or blank)):
+                    i, a = k // 2 + 1, k % 2
+                    if s is None or t is None:
+                        report.append(Violation("map-faces", f"cannot resolve faces ({i},{a}) under {c.key!r}", c))
+                    elif image(s) != t:
+                        report.append(Violation(
+                            "map-faces", f"map(face({c.key!r},{i},{a})) != face(map({c.key!r}),{i},{a})", c))
     return report
 
 
@@ -408,22 +451,20 @@ class _UnionFind:
 
 
 def complex_to_data(space: PrecubicalSet) -> dict:
-    """The complex file of ``space``, read in one pass over its face table.
+    """The complex file of ``space``, read in one pass over its face rows.
 
     Every cell of positive dimension gets a table, ``{}`` when it has no
     face; partial tables still serialize, for diagnostics.  Only entries
     with a direction in 1..dim and a sign in {0, 1} are written.
     """
-    names = {(i, a): f"{i},{a}" for i in range(1, space.dimension + 1) for a in (0, 1)}
-    tables: dict[Cell, dict[str, str]] = {c: {} for dim in space.dims() if dim for c in space.cells(dim)}
-    for (c, i, a), t in space.face_items():
-        table = tables.get(c)
-        name = names.get((i, a))
-        if table is not None and name is not None and i <= c.dim:
-            table[name] = t.key
+    names = [f"{i},{a}" for i in range(1, space.dimension + 1) for a in (0, 1)]
+    rows = space._rows
     return {
-        "cells": {str(dim): [c.key for c in space.cells(dim)] for dim in space.dims()},
-        "faces": {c.key: table for c, table in tables.items()},
+        "cells": {str(dim): [c.key for c in cs] for dim, cs in space._cells.items()},
+        "faces": {
+            c.key: {name: t.key for name, t in zip(names, rows[c]) if t is not None}
+            for dim, cs in space._cells.items() if dim for c in cs
+        },
     }
 
 
@@ -434,13 +475,18 @@ def complex_from_data(data, check: bool = True) -> PrecubicalSet:
     file parses iff it describes a genuine precubical set; ``check=False``
     is for the ``validate`` verb, which wants to inspect broken input.
     """
+    return _complex_from_data(data, check)[0]
+
+
+def _complex_from_data(data, check: bool) -> tuple[PrecubicalSet, dict[str, Cell]]:
+    """The complex and its id table; each file check has its one place here."""
     if not isinstance(data, dict) or "cells" not in data:
         raise InputError("complex JSON must be an object with a 'cells' field")
     raw_cells = data["cells"]
     if not isinstance(raw_cells, dict):
         raise InputError("'cells' must map dimensions to lists of ids")
     by_id: dict[str, Cell] = {}
-    cells: dict[int, list[Cell]] = {}
+    ids_of: dict[int, list[str]] = {}
     for dim_str, ids in raw_cells.items():
         try:
             dim = int(dim_str)
@@ -448,24 +494,31 @@ def complex_from_data(data, check: bool = True) -> PrecubicalSet:
             raise InputError(f"bad dimension key {dim_str!r}") from None
         if dim < 0 or not isinstance(ids, list):
             raise InputError(f"bad cell list under dimension {dim_str!r}")
-        for cid in ids:
-            if not isinstance(cid, str):
-                raise InputError("cell ids must be strings")
-            if cid in by_id:
-                raise InputError(f"duplicate cell id {cid!r}")
-            by_id[cid] = c = Cell(dim, cid)
-            cells.setdefault(dim, []).append(c)
+        if set(map(type, ids)) <= {str} and by_id.keys().isdisjoint(ids) and len(set(ids)) == len(ids):
+            by_id.update(zip(ids, map(tuple.__new__, repeat(Cell), zip(repeat(dim), ids))))  # a cell at tuple cost
+        else:
+            for cid in ids:
+                if not isinstance(cid, str):
+                    raise InputError("cell ids must be strings")
+                if cid in by_id:
+                    raise InputError(f"duplicate cell id {cid!r}")
+                by_id[cid] = Cell(dim, cid)
+        ids_of.setdefault(dim, []).extend(ids)
+    cells = {dim: tuple(map(by_id.__getitem__, sorted(ids_of[dim]))) for dim in sorted(ids_of) if ids_of[dim]}
     raw_faces = data.get("faces") or {}
     if not isinstance(raw_faces, dict):
         raise InputError("'faces' must map cell ids to face tables")
+    rows: dict[Cell, tuple] = dict.fromkeys(by_id.values(), ())
+    side: dict[FaceKey, Cell] = {}
+    get = by_id.get
     slot_of: dict[str, tuple[int, int]] = {}
-    faces: dict[FaceKey, Cell] = {}
     for cid, entry in raw_faces.items():
-        c = by_id.get(cid)
+        c = get(cid)
         if c is None:
             raise InputError(f"faces recorded for unknown cell {cid!r}")
         if not isinstance(entry, dict):
             raise InputError(f"face table of {cid!r} must be an object")
+        row = [None] * (2 * c.dim)
         for key, tid in entry.items():
             slot = slot_of.get(key)
             if slot is None:
@@ -477,17 +530,20 @@ def complex_from_data(data, check: bool = True) -> PrecubicalSet:
             if not isinstance(tid, str):
                 raise InputError(f"face target of {cid!r} must be a string id")
             i, a = slot
-            faces[(c, i, a)] = by_id.get(tid) or Cell(c.dim - 1, tid)
-    try:
-        space = PrecubicalSet(cells, faces)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+            t = get(tid) or Cell(c.dim - 1, tid)
+            if 0 < i <= c.dim and a in (0, 1):
+                row[2 * i - 2 + a] = t
+            else:
+                side[(c, i, a)] = t
+        rows[c] = tuple(row) if row.count(None) < len(row) else ()
+    space = PrecubicalSet.empty()  # its store is filled here, from cells and rows grouped and checked above
+    space._cells, space._rows, space._side = cells, rows, side
     if check:
         report = validate(space)
         if report:
             head = "; ".join(v.message for v in report[:3])
             raise InputError(f"complex fails validation ({len(report)} violations): {head}")
-    return space
+    return space, by_id
 
 
 def morphism_to_data(f: PcMorphism) -> dict:
@@ -511,40 +567,42 @@ def _pure_path(path: str) -> str:
     return root + "/".join(part for part in path.split("/") if part not in ("", ".")) or "."
 
 
-def _resolve_complex_field(field, base_dir, check: bool) -> PrecubicalSet:
+def _resolve_complex_field(field, base_dir, check: bool) -> tuple[PrecubicalSet, dict[str, Cell]]:
     if isinstance(field, str):
         if base_dir is not None and not os.path.isabs(field):
             field = os.path.join(base_dir, field)
-        return load_complex(_pure_path(field), check=check)
-    return complex_from_data(field, check=check)
+        field = _load_json(_pure_path(field))
+    return _complex_from_data(field, check)
 
 
 def morphism_from_data(data, base_dir=None, check: bool = True) -> PcMorphism:
     """Build a morphism from its JSON form.
 
     A ``source`` or ``target`` given as a string is a complex file; a
-    relative one is read from ``base_dir`` when that is given.
+    relative one is read from ``base_dir`` when that is given.  The map
+    is read through the id tables of both loads.
     """
     if not isinstance(data, dict) or not {"source", "target", "map"} <= set(data):
         raise InputError("morphism JSON needs 'source', 'target' and 'map' fields")
-    if not isinstance(data["map"], dict):
+    raw_map = data["map"]
+    if not isinstance(raw_map, dict):
         raise InputError("'map' must map source cell ids to target cell ids")
-    source = _resolve_complex_field(data["source"], base_dir, check)
-    target = _resolve_complex_field(data["target"], base_dir, check)
-    source_id = {c.key: c for c in source._members}
-    target_id = {c.key: c for c in target._members}
-    mapping: dict[Cell, Cell] = {}
-    for src_id, tgt_id in data["map"].items():
-        c = source_id.get(src_id)
-        if c is None:
-            raise InputError(f"map key {src_id!r} is not a source cell")
-        if not isinstance(tgt_id, str):
-            raise InputError(f"map value of {src_id!r} must be a string id")
-        d = target_id.get(tgt_id)
-        if d is None:
-            raise InputError(f"map value {tgt_id!r} is not a target cell")
-        mapping[c] = d
-    f = PcMorphism(source, target, mapping)
+    source, source_id = _resolve_complex_field(data["source"], base_dir, check)
+    target, target_id = _resolve_complex_field(data["target"], base_dir, check)
+    keys = list(map(source_id.get, raw_map))
+    try:
+        values = list(map(target_id.get, raw_map.values()))
+    except TypeError:  # an unhashable value
+        values = [None]
+    if None in keys or None in values:  # the first offending entry, in file order
+        for src_id, tgt_id in raw_map.items():
+            if src_id not in source_id:
+                raise InputError(f"map key {src_id!r} is not a source cell")
+            if not isinstance(tgt_id, str):
+                raise InputError(f"map value of {src_id!r} must be a string id")
+            if tgt_id not in target_id:
+                raise InputError(f"map value {tgt_id!r} is not a target cell")
+    f = PcMorphism(source, target, dict(zip(keys, values)))
     if check:
         report = validate_morphism(f)
         if report:

@@ -93,8 +93,10 @@ class Unfolding(NamedTuple):
         return self.reflection.x0
 
 
-def _unfolded(space: PrecubicalSet, x0: Cell, depth: int, budget: int = DEFAULT_BUDGET) -> tuple[dict, Reflection]:
-    """The ``unfold`` document, written as names from the reflection, and the reflection.
+def _unfolded(
+    space: PrecubicalSet, x0: Cell, depth: int, budget: int = DEFAULT_BUDGET
+) -> tuple[dict, dict[str, str], list[str], Reflection]:
+    """The total complex's file, its map and the state names, written from the reflection, and the reflection.
 
     State t is ``s{t}``, and an n-cell c rooted at its end lifts to
     ``s{t}|{c.key}`` within the depth; the lift's face (i, 1) lies over the
@@ -116,9 +118,10 @@ def _unfolded(space: PrecubicalSet, x0: Cell, depth: int, budget: int = DEFAULT_
     faces: dict[str, dict[str, str]] = {}
     mapping = {name: v.key for name, v in zip(names, ends)}
     below = {name: name for name in names}  # a face is written as its cell's own name string
+    rows = space.face_rows
     for dim in range(1, space.dimension + 1):
         # per direction of a base cell: its two faces' keys and tails, and its corner edge
-        slots = {c: [(f"{i},0", tail(space.face(c, i, 0)), f"{i},1", tail(space.face(c, i, 1)),
+        slots = {c: [(f"{i},0", tail(rows[c][2 * i - 2]), f"{i},1", tail(rows[c][2 * i - 1]),
                       space.corner_edge(c, i)) for i in range(1, dim + 1)] for c in space.cells(dim)}
         lifted = []
         for stage in r.stages[: max(depth - dim + 1, 0)]:
@@ -134,18 +137,23 @@ def _unfolded(space: PrecubicalSet, x0: Cell, depth: int, budget: int = DEFAULT_
         if lifted:
             cells[str(dim)] = sorted(lifted)
         below = {name: name for name in lifted}
-    return {
-        "projection": {"source": {"cells": cells, "faces": faces}, "target": complex_to_data(space), "map": mapping},
-        "states": _states_to_data(r, names),
-        "complete": all(not space.out_edges(ends[u]) for u in r.stages[-1]),
-        "depth": depth,
-        "basepoint": x0.key,
-    }, r
+    return {"cells": cells, "faces": faces}, mapping, names, r
+
+
+def _complete(space: PrecubicalSet, r: Reflection) -> bool:
+    return all(not space.out_edges(r.ends[u]) for u in r.stages[-1])
 
 
 def unfold_to_data(space: PrecubicalSet, x0: Cell, depth: int, budget: int = DEFAULT_BUDGET) -> dict:
     """``unfolding_to_data(unfold(space, x0, depth, budget))``, with no complex built."""
-    return _unfolded(space, x0, depth, budget)[0]
+    source, mapping, names, r = _unfolded(space, x0, depth, budget)
+    return {
+        "projection": {"source": source, "target": complex_to_data(space), "map": mapping},
+        "states": _states_to_data(r, names),
+        "complete": _complete(space, r),
+        "depth": depth,
+        "basepoint": x0.key,
+    }
 
 
 def unfold(space: PrecubicalSet, x0: Cell, depth: int, budget: int = DEFAULT_BUDGET) -> Unfolding:
@@ -154,13 +162,13 @@ def unfold(space: PrecubicalSet, x0: Cell, depth: int, budget: int = DEFAULT_BUD
     ``budget`` caps the (state, edge) extensions of the reflection;
     running past it raises ResourceLimitError, and a negative one is an
     InputError.  The total complex and its projection are read back from
-    the document of :func:`unfold_to_data`.
+    the total complex's file that :func:`unfold_to_data` writes.
     """
-    data, r = _unfolded(space, x0, depth, budget)
-    total = complex_from_data(data["projection"]["source"], check=False)
-    base, image = {c.key: c for c in space.all_cells()}, data["projection"]["map"]
+    source, image, _, r = _unfolded(space, x0, depth, budget)
+    total = complex_from_data(source, check=False)
+    base = {c.key: c for c in space.all_cells()}
     projection = PcMorphism(total, space, {c: base[image[c.key]] for c in total.all_cells()})
-    return Unfolding(total, projection, r, data["complete"], depth, Cell(0, "s0"))
+    return Unfolding(total, projection, r, _complete(space, r), depth, Cell(0, "s0"))
 
 
 class InitialFactorization(NamedTuple):

@@ -211,6 +211,35 @@ def test_validate_matches_the_naive_validator_on_any_face_table(member, seed, ed
     assert validate(space) == oracles.naive_validate(space)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(st.sampled_from(CORPUS), st.integers(0, 2**32 - 1), st.lists(st.integers(0, 3), max_size=3))
+def test_the_face_store_holds_the_face_table(member, seed, edits):
+    """Rows and side table together are the face table they were built from, slot for slot."""
+    _, space = member
+    rng = random.Random(seed)
+    for edit in edits:
+        if edit == 0 and space.dimension >= 2:
+            space, _ = mutate_one_face(space, rng)
+        elif edit == 1:
+            space = add_stray_face(space, rng)
+        elif edit == 2:
+            space = add_bad_index(space, rng)
+        else:
+            space = without_a_face(space, rng)
+    faces = dict(space.face_items())
+    assert len(faces) == len(list(space.face_items()))
+    assert PrecubicalSet({dim: space.cells(dim) for dim in space.dims()}, faces) == space
+    for c in {*space.all_cells(), *(c for c, _, _ in faces)}:
+        for i in range(-1, c.dim + 3):
+            for a in (-1, 0, 1, 2):
+                if (c, i, a) in faces:
+                    assert space.face(c, i, a) == faces[(c, i, a)]
+                else:
+                    with pytest.raises(KeyError) as missing:
+                        space.face(c, i, a)
+                    assert missing.value.args == (f"no face ({i},{a}) recorded for cell {c.key!r}",)
+
+
 def edited_morphism(f, rng, count):
     """The file of ``f`` after ``count`` random edits to its map, its complexes or its shape."""
     data = copy(morphism_to_data(f))
@@ -298,6 +327,37 @@ def test_validate_morphism_matches_the_naive_validator_on_any_mapping(f, seed, c
             target = without_a_face(target, rng)
     g = PcMorphism(source, target, mapping)
     assert validate_morphism(g) == oracles.naive_validate_morphism(g)
+
+
+class TestTallCellOverFacelessFaces:
+    """A cell of dimension 3,000 whose faces all name one cell without faces is checked in linear time."""
+
+    @staticmethod
+    def data(target):
+        faces = {f"{i},{a}": target for i in range(1, 3001) for a in (0, 1)}
+        return {"cells": {"2999": ["t"], "3000": ["c"]}, "faces": {"c": faces}}
+
+    def test_a_declared_face_reports_only_its_own_missing_faces(self, capsys, tmp_path):
+        path = tmp_path / "tall.json"
+        path.write_text(json.dumps(self.data("t")))
+        start = time.perf_counter()
+        assert main(["preorder", str(path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "ditop: complex fails validation (5998 violations): cell 't' lacks face (1,0); "
+            "cell 't' lacks face (1,1); cell 't' lacks face (2,0)\n"
+        )
+
+    def test_an_undeclared_face_is_one_dangling_report_per_slot(self):
+        space = complex_from_data(self.data("ghost"), check=False)
+        start = time.perf_counter()
+        report = validate(space)
+        assert time.perf_counter() - start < 1.0
+        assert len(report) == 6000 + 5998 and {v.kind for v in report} == {"dangling-face", "missing-face"}
+        assert report[0].message == "cell 't' lacks face (1,0)"
+        assert report[-1].message == "face (3000,1) of 'c' is the undeclared cell 'ghost'"
 
 
 class TestOneCellPerId:

@@ -179,6 +179,21 @@ def test_only_the_cli_writes_to_stderr_and_nothing_calls_print():
     assert (printing, stderr) == ([], {"cli"})
 
 
+def test_only_precubical_reads_the_face_store():
+    # the face rows, the side table and the cell lists are one format with
+    # one owner; every other module reads faces through face, face_rows,
+    # face_items, rooted and out_heads
+    store = {"_cells", "_rows", "_side"}
+    readers = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in store:
+                readers.add(path.stem)
+            elif isinstance(node, ast.Constant) and node.value in store:
+                readers.add(path.stem)
+    assert readers == {"precubical"}
+
+
 EXPONENTIAL_VERBS = {"paths", "classes", "unfold", "universal"}
 
 
@@ -387,6 +402,12 @@ class TestLazyLoading:
         assert "ditop.dipath" in loaded["preorder"]
         for name in ("ditop.pv", "ditop.unfolding", "ditop.dicovering", "ditop.dihomotopy"):
             assert name not in loaded["preorder"]
+
+    def test_check_cover_skips_the_path_layer(self, loaded):
+        # without --base, the cover check lifts no path and needs no reachability
+        assert "ditop.dicovering" in loaded["check-cover"]
+        for name in ("ditop.dipath", "ditop.dihomotopy", "ditop.unfolding", "ditop.pv"):
+            assert name not in loaded["check-cover"]
 
     def test_unfold_skips_the_cover_check(self, loaded):
         assert "ditop.unfolding" in loaded["unfold"]

@@ -61,11 +61,9 @@ class PrecubicalSet:
     ``(cell, direction, sign)`` triples to boundary cells.  Construction
     only normalises structure (sorting, key uniqueness across the whole
     complex); semantic soundness is the business of :func:`validate`.
-
-    The faces are stored as one row per cell: slot ``2(i - 1) + a`` holds
-    ``face(c, i, a)``, ``None`` where none is recorded, and a cell with no
-    face at all has the row ``()``.  Entries that fit no row, a face of an
-    undeclared cell or an index out of range, go in a side table.
+    Each cell's faces are one row, slot ``2(i - 1) + a`` holding ``face(c,
+    i, a)`` or ``None``, and ``()`` when it has none; a face of an
+    undeclared cell or out of range goes in a side table.
     """
 
     __slots__ = ("_cells", "_rows", "_side", "_rooted", "_heads")
@@ -91,9 +89,8 @@ class PrecubicalSet:
         rows = {c: [None] * (2 * c.dim) for cs in by_dim.values() for c in cs}
         side: dict[FaceKey, Cell] = {}
         for (c, i, a), t in faces.items():
-            row = rows.get(c)
-            if row is not None and 0 < i <= c.dim and a in (0, 1):
-                row[2 * i - 2 + a] = t
+            if c in rows and 0 < i <= c.dim and a in (0, 1):
+                rows[c][2 * i - 2 + a] = t
             else:
                 side[(c, i, a)] = t
         self._cells, self._side = by_dim, side
@@ -142,10 +139,8 @@ class PrecubicalSet:
 
     def face(self, c: Cell, direction: int, sign: int) -> Cell:
         row = self._rows.get(c)
-        if row and 0 < direction <= c.dim and sign in (0, 1):
-            t = row[2 * direction - 2 + sign]
-        else:
-            t = self._side.get((c, direction, sign))
+        t = (row[2 * direction - 2 + sign] if row and 0 < direction <= c.dim and sign in (0, 1)
+             else self._side.get((c, direction, sign)))
         if t is None:
             raise KeyError(f"no face ({direction},{sign}) recorded for cell {c.key!r}")
         return t
@@ -157,9 +152,7 @@ class PrecubicalSet:
 
     def face_items(self) -> Iterator[tuple[FaceKey, Cell]]:
         for c, row in self._rows.items():
-            for k, t in enumerate(row):
-                if t is not None:
-                    yield (c, k // 2 + 1, k % 2), t
+            yield from (((c, k // 2 + 1, k % 2), t) for k, t in enumerate(row) if t is not None)
         yield from self._side.items()
 
     def check_vertex(self, v: Cell) -> Cell:
@@ -210,8 +203,7 @@ class PrecubicalSet:
             for c in self.cells(dim):
                 corner = c
                 for _ in range(dim):
-                    row = get(corner)
-                    corner = row[0] if row else None
+                    corner = (get(corner) or (None,))[0]
                 group = groups.get(corner)
                 if group is not None:
                     group.append(c)
@@ -281,12 +273,10 @@ def validate(space: PrecubicalSet) -> list[Violation]:
     ]
     sided = {k[0] for k in side}
 
-    def first(t: Cell | None, n: int) -> tuple:
-        """t's faces in directions 1..n as the face table holds them; ``()`` when it has none."""
+    def first(t: Cell | None, n: int) -> tuple:  # t's faces in directions 1..n as stored, or () if it has none
         row = rows.get(t, ())
-        if len(row) >= 2 * n or not (row or t in sided):
-            return row
-        return tuple(row[k] if k < len(row) else side.get((t, k // 2 + 1, k % 2)) for k in range(2 * n))
+        return row if len(row) >= 2 * n or not (row or t in sided) else tuple(
+            row[k] if k < len(row) else side.get((t, k // 2 + 1, k % 2)) for k in range(2 * n))
 
     identities: list[Violation] = []
     for dim, cs in space._cells.items():
@@ -299,7 +289,7 @@ def validate(space: PrecubicalSet) -> list[Violation]:
                 if dim == 1:
                     continue
                 firsts = [rows[t] for t in row]
-                # all identities with face k = (i, a) inner: column k of the faces in
+                # every identity at once: column k = (i, a) of the rows of the faces in
                 # directions above 1 against face k's row, each from direction i on
                 if all(firsts) and all(col[k - k % 2:] == firsts[k][k - k % 2:]
                                        for k, col in enumerate(zip(*firsts[2:]))):
@@ -398,7 +388,6 @@ def validate_morphism(f: PcMorphism) -> list[Violation]:
     rows, targets = f.source._rows, f.target._rows
     report: list[Violation] = []
     for dim, cs in f.source._cells.items():
-        blank = (None,) * (2 * dim)
         for c in cs:
             d = image(c)
             if d is None and c not in f.mapping:
@@ -408,6 +397,7 @@ def validate_morphism(f: PcMorphism) -> list[Violation]:
             elif d.dim != dim:
                 report.append(Violation("map-dimension", f"{c.key!r} of dim {dim} maps to {d.key!r} of dim {d.dim}", c))
             elif tuple(map(image, rows[c])) != targets[d] or None in targets[d] or (dim and not targets[d]):
+                blank = (None,) * (2 * dim)  # a cell without faces lacks every one
                 for k, (s, t) in enumerate(zip(rows[c] or blank, targets[d] or blank)):
                     i, a = k // 2 + 1, k % 2
                     if s is None or t is None:
@@ -494,15 +484,14 @@ def _complex_from_data(data, check: bool) -> tuple[PrecubicalSet, dict[str, Cell
             raise InputError(f"bad dimension key {dim_str!r}") from None
         if dim < 0 or not isinstance(ids, list):
             raise InputError(f"bad cell list under dimension {dim_str!r}")
-        if set(map(type, ids)) <= {str} and by_id.keys().isdisjoint(ids) and len(set(ids)) == len(ids):
-            by_id.update(zip(ids, map(tuple.__new__, repeat(Cell), zip(repeat(dim), ids))))  # a cell at tuple cost
-        else:
-            for cid in ids:
+        if not (set(map(type, ids)) <= {str} and by_id.keys().isdisjoint(ids) and len(set(ids)) == len(ids)):
+            for cid in ids:  # the first bad id, in file order
                 if not isinstance(cid, str):
                     raise InputError("cell ids must be strings")
                 if cid in by_id:
                     raise InputError(f"duplicate cell id {cid!r}")
                 by_id[cid] = Cell(dim, cid)
+        by_id.update(zip(ids, map(tuple.__new__, repeat(Cell), zip(repeat(dim), ids))))  # a cell at tuple cost
         ids_of.setdefault(dim, []).extend(ids)
     cells = {dim: tuple(map(by_id.__getitem__, sorted(ids_of[dim]))) for dim in sorted(ids_of) if ids_of[dim]}
     raw_faces = data.get("faces") or {}
@@ -589,12 +578,9 @@ def morphism_from_data(data, base_dir=None, check: bool = True) -> PcMorphism:
         raise InputError("'map' must map source cell ids to target cell ids")
     source, source_id = _resolve_complex_field(data["source"], base_dir, check)
     target, target_id = _resolve_complex_field(data["target"], base_dir, check)
-    keys = list(map(source_id.get, raw_map))
     try:
-        values = list(map(target_id.get, raw_map.values()))
-    except TypeError:  # an unhashable value
-        values = [None]
-    if None in keys or None in values:  # the first offending entry, in file order
+        mapping = dict(zip(map(source_id.__getitem__, raw_map), map(target_id.__getitem__, raw_map.values())))
+    except (KeyError, TypeError):  # name the first offending entry, in file order
         for src_id, tgt_id in raw_map.items():
             if src_id not in source_id:
                 raise InputError(f"map key {src_id!r} is not a source cell")
@@ -602,7 +588,7 @@ def morphism_from_data(data, base_dir=None, check: bool = True) -> PcMorphism:
                 raise InputError(f"map value of {src_id!r} must be a string id")
             if tgt_id not in target_id:
                 raise InputError(f"map value {tgt_id!r} is not a target cell")
-    f = PcMorphism(source, target, dict(zip(keys, values)))
+    f = PcMorphism(source, target, mapping)
     if check:
         report = validate_morphism(f)
         if report:

@@ -342,7 +342,7 @@ class TestTallCellOverFacelessFaces:
         path.write_text(json.dumps(self.data("t")))
         start = time.perf_counter()
         assert main(["preorder", str(path)]) == 2
-        assert time.perf_counter() - start < 1.0
+        assert time.perf_counter() - start < 0.25
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
@@ -354,7 +354,7 @@ class TestTallCellOverFacelessFaces:
         space = complex_from_data(self.data("ghost"), check=False)
         start = time.perf_counter()
         report = validate(space)
-        assert time.perf_counter() - start < 1.0
+        assert time.perf_counter() - start < 0.25
         assert len(report) == 6000 + 5998 and {v.kind for v in report} == {"dangling-face", "missing-face"}
         assert report[0].message == "cell 't' lacks face (1,0)"
         assert report[-1].message == "face (3000,1) of 'c' is the undeclared cell 'ghost'"

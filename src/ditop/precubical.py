@@ -396,7 +396,7 @@ def validate_morphism(f: PcMorphism) -> list[Violation]:
                 report.append(Violation("map-target", f"image {d.key!r} of {c.key!r} is not a target cell", c))
             elif d.dim != dim:
                 report.append(Violation("map-dimension", f"{c.key!r} of dim {dim} maps to {d.key!r} of dim {d.dim}", c))
-            elif tuple(map(image, rows[c])) != targets[d] or None in targets[d] or (dim and not targets[d]):
+            elif dim and (tuple(map(image, rows[c])) != targets[d] or None in targets[d] or not targets[d]):
                 blank = (None,) * (2 * dim)  # a cell without faces lacks every one
                 for k, (s, t) in enumerate(zip(rows[c] or blank, targets[d] or blank)):
                     i, a = k // 2 + 1, k % 2

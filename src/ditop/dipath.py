@@ -5,16 +5,19 @@ empty sequence is the constant path at its start.  Since only the order
 of traversed edges matters, reparametrization is quotiented away by the
 representation itself, and constant paths come for free.
 
-The reachability preorder collects all pairs (x, y) with an edge path
-from x to y; it is the combinatorial shadow of the passage from a
-directed space to a preordered set.  Note that any directed cycle
-collapses to a totally related clump there, which is exactly why the
-finer path structure is worth keeping.
+The reachability preorder relates x to y when an edge path runs from x
+to y; it is the combinatorial shadow of the passage from a directed
+space to a preordered set.  Any directed cycle collapses to a totally
+related clump there, which is exactly why the finer path structure is
+worth keeping.  The clumps are the strongly connected components of the
+edge graph, so the preorder is kept as each component's reach: a bitset
+over the vertices in key order.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import compress
 from typing import Iterable, NamedTuple
 
 from ._frozen import Frozen, set_field
@@ -219,17 +222,38 @@ def longer_path_exists(space: PrecubicalSet, a: Cell, b: Cell, max_len: int) -> 
     return ordered < len(between) or longest[b] > max_len
 
 
+_BITS = bytes.maketrans(b"01", b"\0\1")  # a binary numeral's digits as bytes 0 and 1
+
+
 class Preorder(NamedTuple):
-    """A reflexive, transitive relation on a finite vertex set."""
+    """A reflexive, transitive relation on a finite vertex set, kept by component.
+
+    ``index`` numbers the carrier in key order and ``component`` maps each
+    number to its strongly connected component c, whose reach has bit i
+    set when c reaches the vertex numbered i.
+    """
 
     carrier: frozenset[Cell]
-    pairs: frozenset[tuple[Cell, Cell]]
+    index: dict[Cell, int]
+    component: list[int]
+    reach: list[int]
+
+    @property
+    def pairs(self) -> frozenset[tuple[Cell, Cell]]:
+        """Every related pair (x, y), built anew on each read."""
+        rows = self._reach_lists(tuple(self.index))
+        return frozenset((x, y) for x, c in zip(self.index, self.component) for y in rows[c])
 
     def leq(self, x: Cell, y: Cell) -> bool:
-        return (x, y) in self.pairs
+        at = self.index
+        return x in at and y in at and bool(self.reach[self.component[at[x]]] >> at[y] & 1)
 
     def is_antisymmetric(self) -> bool:
-        return all(x == y or (y, x) not in self.pairs for (x, y) in self.pairs)
+        return len(self.reach) == len(self.index)  # every component is one vertex
+
+    def _reach_lists(self, items) -> list[list]:
+        """For each component, the items numbered by the set bits of its reach, in order."""
+        return [list(compress(items, bin(bits)[:1:-1].encode().translate(_BITS))) for bits in self.reach]
 
 
 def reachable(space: PrecubicalSet, seeds: Iterable[Cell]) -> set[Cell]:
@@ -246,11 +270,45 @@ def reachable(space: PrecubicalSet, seeds: Iterable[Cell]) -> set[Cell]:
 
 
 def reachability_preorder(space: PrecubicalSet) -> Preorder:
-    """(x, y) related iff some edge path runs from x to y."""
-    pairs: set[tuple[Cell, Cell]] = set()
-    for start in space.vertices:
-        pairs.update((start, v) for v in reachable(space, [start]))
-    return Preorder(frozenset(space.vertices), frozenset(pairs))
+    """(x, y) related iff some edge path runs from x to y.
+
+    One iterative pass of Tarjan's algorithm (1972) finds the strongly
+    connected components, each after every component its edges enter, so
+    its reach is its own bits ORed with theirs.  ``num`` is a vertex's
+    place on the stack ``open_``: -1 before its visit, n after it leaves.
+    """
+    index = {v: i for i, v in enumerate(space.vertices)}
+    succ = [[index[w] for _, w in space.out_heads(v)] for v in index]
+    n = len(succ)
+    num, low, component, reach, open_ = [-1] * n, [0] * n, [0] * n, [], []
+    for root in range(n):
+        if num[root] >= 0:
+            continue
+        num[root] = low[root] = 0
+        open_.append(root)
+        frames = [(root, iter(succ[root]))]
+        while frames:
+            v, heads = frames[-1]
+            for w in heads:
+                if num[w] < 0:
+                    num[w] = low[w] = len(open_)
+                    open_.append(w)
+                    frames.append((w, iter(succ[w])))
+                    break
+                low[v] = min(low[v], num[w])
+            else:
+                frames.pop()
+                if frames:
+                    low[frames[-1][0]] = min(low[frames[-1][0]], low[v])
+                if low[v] == num[v]:
+                    members, open_[num[v]:] = open_[num[v]:], []
+                    for w in members:
+                        component[w], num[w] = len(reach), n
+                    reach.append(sum(1 << w for w in members))
+                    for w in members:
+                        for u in succ[w]:
+                            reach[-1] |= reach[component[u]]
+    return Preorder(frozenset(index), index, component, reach)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +337,10 @@ def path_from_data(data, space: PrecubicalSet) -> EdgePath:
 
 
 def preorder_to_data(po: Preorder) -> dict:
-    return {
-        "carrier": sorted(v.key for v in po.carrier),
-        "relation": sorted([x.key, y.key] for (x, y) in po.pairs),
-    }
+    """The carrier and the related pairs in key order, with no sort.
+
+    Row x lists the keys at the set bits of x's reach, and bit order is key order.
+    """
+    keys = [v.key for v in po.index]
+    rows = po._reach_lists(keys)  # one list per component, shared by its members
+    return {"carrier": keys, "relation": [[x, y] for x, c in zip(keys, po.component) for y in rows[c]]}

@@ -337,10 +337,7 @@ def path_from_data(data, space: PrecubicalSet) -> EdgePath:
 
 
 def preorder_to_data(po: Preorder) -> dict:
-    """The carrier and the related pairs in key order, with no sort.
-
-    Row x lists the keys at the set bits of x's reach, and bit order is key order.
-    """
+    """The carrier and the related pairs in key order, read off the reach bitsets in bit order with no sort."""
     keys = [v.key for v in po.index]
     rows = po._reach_lists(keys)  # one list per component, shared by its members
     return {"carrier": keys, "relation": [[x, y] for x, c in zip(keys, po.component) for y in rows[c]]}

@@ -3,9 +3,10 @@
 Everything here is written naively and independently of the library
 code paths it is used to check: path enumeration by plain recursion
 over a locally built adjacency table, reachability by boolean-matrix
-closure, move neighbors by scanning every square, class partitions by
-union-find, longer paths by enumerating past the length bound, whole-path
-lifts by exhaustive enumeration upstairs, cell lifts by counting every
+closure and its document by sorting every pair, move neighbors by
+scanning every square, class partitions by union-find, longer paths
+by enumerating past the length bound, whole-path lifts by exhaustive
+enumeration upstairs, cell lifts by counting every
 upstairs cell at its hand-walked minimal corner, factorizations through
 a projection by backtracking search over its fibres, isomorphisms
 by backtracking over cells, PV state spaces by testing every grid
@@ -230,6 +231,14 @@ def closure_pairs(space):
         for i in range(n)
         for j in range(n)
         if reach[i][j]
+    }
+
+
+def naive_preorder_to_data(carrier, pairs):
+    """The ``preorder`` document as first written: the carrier's keys sorted, and every pair sorted as two keys."""
+    return {
+        "carrier": sorted(v.key for v in carrier),
+        "relation": sorted([x.key, y.key] for (x, y) in pairs),
     }
 
 

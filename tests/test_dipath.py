@@ -1,6 +1,12 @@
+import contextlib
+import io
 import random
+import tempfile
+import time
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ditop import (
     Cell,
@@ -8,6 +14,8 @@ from ditop import (
     EndpointMismatchError,
     InputError,
     InvalidPathError,
+    PrecubicalSet,
+    complex_to_data,
     concat,
     directed_circle,
     directed_cycle,
@@ -23,6 +31,7 @@ from ditop import (
     standard_cube,
     vertex,
 )
+from ditop.cli import canonical_json, main
 from ditop.dipath import distances_to
 
 import oracles
@@ -194,6 +203,56 @@ class TestReachability:
     def test_antisymmetry_detects_loops(self):
         assert reachability_preorder(directed_path(3)).is_antisymmetric()
         assert not reachability_preorder(directed_cycle(3)).is_antisymmetric()
+
+
+def one_complex(n: int, arrows: list[tuple[int, int]]) -> PrecubicalSet:
+    """Vertices v0, ..., v(n-1) and one edge per (tail, head) arrow, loops and repeats included.
+
+    From v10 on, key order is not the order of the numbers.
+    """
+    verts = [vertex(f"v{i}") for i in range(n)]
+    edges = [Cell(1, f"e{k}") for k in range(len(arrows))]
+    faces = {(e, 1, a): verts[ends[a]] for e, ends in zip(edges, arrows) for a in (0, 1)}
+    return PrecubicalSet({0: verts, 1: edges}, faces)
+
+
+one_complexes = st.integers(0, 13).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))), max_size=2 * n),
+))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(one_complexes)
+@example((0, []))
+@example((3, [(0, 1), (1, 2), (2, 0), (1, 1), (1, 2)]))
+def test_preorder_matches_the_closure_referee(shape):
+    space = one_complex(*shape)
+    closure = oracles.closure_pairs(space)
+    po = reachability_preorder(space)
+    assert po.pairs == closure
+    assert all(po.leq(x, y) == ((x, y) in closure) for x in space.vertices for y in space.vertices)
+    assert po.is_antisymmetric() == all(x == y or (y, x) not in closure for x, y in closure)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "one.json"
+        path.write_text(canonical_json(complex_to_data(space)))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["preorder", str(path)]) == 0
+    assert out.getvalue() == canonical_json(oracles.naive_preorder_to_data(space.vertices, closure)) + "\n"
+
+
+class TestPreorderOnALongCycle:
+    """A directed cycle of 1,000 vertices is one component, answered in linear time."""
+
+    def test_antisymmetry_and_order(self):
+        space = directed_cycle(1000)
+        first, last = space.vertices[0], space.vertices[-1]
+        start = time.perf_counter()
+        po = reachability_preorder(space)
+        assert not po.is_antisymmetric()
+        assert po.leq(first, last) and po.leq(last, first) and po.leq(last, last)
+        assert not po.leq(first, Cell(0, "elsewhere"))
+        assert time.perf_counter() - start < 0.25
 
 
 class TestSerialization:

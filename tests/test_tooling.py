@@ -434,6 +434,19 @@ class TestLazyLoading:
         }
 
 
+def test_preorder_never_builds_the_pair_set(monkeypatch, capsys):
+    # the verb writes its rows from the reach bitsets; Preorder.pairs is
+    # for callers that want the set
+    from ditop import cli, dipath
+
+    def refuse(self):
+        raise AssertionError("Preorder.pairs was read")
+
+    monkeypatch.setattr(dipath.Preorder, "pairs", property(refuse))
+    assert cli.main(["preorder", str(FIXTURES / "swiss.json")]) == 0
+    assert ["c00", "c33"] in json.loads(capsys.readouterr().out)["relation"]
+
+
 def test_unfold_builds_no_second_complex(monkeypatch, capsys):
     # the verb writes its document from the reflection, so the loaded base
     # is the one complex it builds

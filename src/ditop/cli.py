@@ -191,8 +191,12 @@ def _cmd_pv_compile(args) -> tuple[dict, int]:
     from .errors import read_text
 
     program = pv.parse(read_text(args.file))
-    final = args.final if args.final is not None else pv.top_corner(program)
-    data = pv.compile_to_data(program, final if args.deadlocks else None)
+    final = args.final
+    if final is None and args.deadlocks:
+        final = pv.top_corner(program)
+    data = pv.compile_to_data(program, final)
+    if final is not None and not args.deadlocks:  # a --final alone is only checked
+        del data["final"], data["deadlocks"]
     data["meta"] = {"processes": len(program.processes), "resources": dict(program.resources)}
     return data, 1 if data.get("deadlocks") else 0
 

@@ -133,6 +133,8 @@ def apply_move(space: PrecubicalSet, p: EdgePath, move: ElementaryMove) -> EdgeP
     check_path(space, p)
     if not 0 <= move.position < len(p.edges) - 1:
         raise InvalidPathError(f"move position {move.position} out of range")
+    if move.square.dim != 2 or move.square not in space:
+        raise InvalidPathError(f"{move.square.key!r} is not a square of the complex")
     words = square_words(space, move.square)
     if move.orientation not in words:
         raise InputError(f"unknown move orientation {move.orientation!r}")

@@ -87,15 +87,7 @@ class CompiledProgram(NamedTuple):
     forbidden: ForbiddenRegion
 
 
-_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_]*|\d+|[;:.]|\S")
-
-
-def _tokenize(text: str):
-    tokens = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        for match in _TOKEN.finditer(line):
-            tokens.append((match.group(), lineno, match.start() + 1))
-    return tokens
+_TOKEN = re.compile(r"(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<number>\d+)|\S")
 
 
 def parse(text: str) -> PvProgram:
@@ -107,81 +99,70 @@ def parse(text: str) -> PvProgram:
         decl    := "res" name ":" nat | "proc" action ("." action)*
         action  := "P" name | "V" name
         name    := [a-zA-Z][a-zA-Z0-9_]*
+        nat     := a decimal numeral that int() reads
 
     Actions may be written tightly (``Pa``) or spaced (``P a``).  Raises
     PvSyntaxError with a position for grammar problems and
     PvSemanticError for undeclared resources, non-positive capacities,
     or P/V sequences that go negative or stay open.
     """
-    tokens = _tokenize(text)
+    # a token is (text, class, line, column): "name", "number", or any other character as its own class
+    lines = text.splitlines() or [""]
+    tokens = [(m.group(), m.lastgroup or m.group(), lineno, m.start() + 1)
+              for lineno, line in enumerate(lines, start=1) for m in _TOKEN.finditer(line)]
+    tokens.append((None, None, len(lines), len(lines[-1]) + 1))  # the end of input
     pos = 0
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else (None, 0, 0)
-
-    def take(expected=None):
+    def take(expected=None, what=None):
         nonlocal pos
-        tok, line, col = peek()
+        tok, cls, line, col = tokens[pos]
         if tok is None:
-            raise PvSyntaxError("unexpected end of input", *_end_position(text))
-        if expected is not None and tok != expected:
-            raise PvSyntaxError(f"expected {expected!r}, found {tok!r}", line, col)
+            raise PvSyntaxError("unexpected end of input", line, col)
+        if expected not in (None, cls):
+            raise PvSyntaxError(f"expected {what or repr(expected)}, found {tok!r}", line, col)
         pos += 1
         return tok, line, col
 
-    name_re = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
-
-    def take_name():
-        tok, line, col = take()
-        if not name_re.match(tok):
-            raise PvSyntaxError(f"expected a name, found {tok!r}", line, col)
-        return tok, line, col
-
     def take_action() -> PvAction:
-        tok, line, col = take()
-        if not tok or tok[0] not in "PV" or not name_re.match(tok):
+        tok, line, col = take("name", "an action")
+        if tok[0] not in "PV":
             raise PvSyntaxError(f"expected an action, found {tok!r}", line, col)
         if len(tok) > 1:
             return PvAction(tok[0], tok[1:], line, col)
-        resource, _, _ = take_name()
-        return PvAction(tok, resource, line, col)
+        return PvAction(tok, take("name", "a name")[0], line, col)
 
     resources: dict[str, int] = {}
     processes: list[list[PvAction]] = []
     while True:
         tok, line, col = take()
         if tok == "res":
-            rname, rline, rcol = take_name()
+            rname, rline, rcol = take("name", "a name")
             take(":")
-            cap_tok, cline, ccol = take()
-            if not cap_tok.isdigit():
-                raise PvSyntaxError(f"expected a capacity, found {cap_tok!r}", cline, ccol)
+            cap_tok, cline, ccol = take("number", "a capacity")
             if rname in resources:
                 raise PvSemanticError(f"resource {rname!r} declared twice", rline, rcol)
-            capacity = int(cap_tok)
+            try:
+                capacity = int(cap_tok)
+            except ValueError:  # more digits than int reads
+                raise PvSyntaxError(f"expected a capacity, found {cap_tok!r}", cline, ccol) from None
             if capacity < 1:
                 raise PvSemanticError(f"capacity of {rname!r} must be at least 1", cline, ccol)
             resources[rname] = capacity
         elif tok == "proc":
             actions = [take_action()]
-            while peek()[0] == ".":
+            while tokens[pos][0] == ".":
                 take(".")
                 actions.append(take_action())
             processes.append(actions)
         else:
             raise PvSyntaxError(f"expected 'res' or 'proc', found {tok!r}", line, col)
         take(";")
-        if peek()[0] is None:
+        if tokens[pos][0] is None:
             break
 
     program = PvProgram(resources, processes)
     hold_intervals(program)  # raises the P/V matching errors
     return program
-
-
-def _end_position(text: str) -> tuple[int, int]:
-    lines = text.splitlines() or [""]
-    return len(lines), len(lines[-1]) + 1
 
 
 def serialize(program: PvProgram) -> str:

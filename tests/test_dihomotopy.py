@@ -9,7 +9,9 @@ from ditop import (
     Cell,
     DihomotopyClass,
     EdgePath,
+    ElementaryMove,
     InputError,
+    InvalidPathError,
     ResourceLimitError,
     apply_move,
     classes,
@@ -97,6 +99,18 @@ class TestElementaryMoves:
         assert len(paths) == 6
         assert all(elementary_moves(cube, p) for p in paths)
         assert len(move_components(cube, paths)) == 1
+
+
+@pytest.mark.parametrize("move, error, message", [
+    (ElementaryMove(0, Cell(2, "nope"), BOTTOM_RIGHT), InvalidPathError, "'nope' is not a square"),
+    (ElementaryMove(0, Cell(1, "*0"), BOTTOM_RIGHT), InvalidPathError, "'\\*0' is not a square"),
+    (ElementaryMove(0, Cell(2, "**"), "sideways"), InputError, "unknown move orientation 'sideways'"),
+    (ElementaryMove(1, Cell(2, "**"), BOTTOM_RIGHT), InvalidPathError, "move position 1 out of range"),
+], ids=["unknown-cell", "edge-as-square", "unknown-orientation", "position-out-of-range"])
+def test_apply_move_refuses_a_move_that_does_not_apply(move, error, message):
+    space, br, _ = square_paths()
+    with pytest.raises(error, match=message):
+        apply_move(space, br, move)
 
 
 class TestDihomotopic:

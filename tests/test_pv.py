@@ -1,8 +1,10 @@
 import contextlib
 import io
+import re
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ditop import InputError, PvSemanticError, PvSyntaxError, validate, vertex
 from ditop import pv
@@ -12,6 +14,8 @@ from ditop.precubical import complex_to_data
 from conftest import MUTEX3_PV, SWISS_PV
 
 import oracles
+
+FIXTURES = Path(__file__).parent.parent / "fixtures"
 
 
 class TestParse:
@@ -252,12 +256,55 @@ def test_pv_compile_writes_the_referee_document(program_file, program):
 @pytest.mark.parametrize("final", ["2x2", "9x9", "1-2x0", "2"])
 def test_a_final_that_is_not_a_kept_vertex_exits_2_in_one_line(tmp_path, final):
     # 2x2 is a grid vertex where both processes hold a, 1-2x0 a kept edge,
-    # and 9x9 and 2 name no grid cell
+    # and 9x9 and 2 name no grid cell; --final is checked with or without
+    # --deadlocks
     path = tmp_path / "twice.pv"
     path.write_text("res a:1; res b:1;\nproc Pa.Pb.Vb.Va;\nproc Pa.Pb.Vb.Va;\n")
     assert "2x2" in pv.compile_to_data(pv.parse(path.read_text()))["forbidden"]
-    assert compile_verb(path, "--deadlocks", "--final", final) == (
-        2, "", f"ditop: {final!r} is not a vertex of the complex\n")
+    for flags in (("--deadlocks",), ()):
+        assert compile_verb(path, *flags, "--final", final) == (
+            2, "", f"ditop: {final!r} is not a vertex of the complex\n")
+
+
+def test_a_kept_final_without_deadlocks_leaves_the_document_unchanged(tmp_path):
+    path = tmp_path / "swiss.pv"
+    path.write_text(SWISS_PV)
+    plain = compile_verb(path)
+    assert plain[0] == 0 and '"final"' not in plain[1]
+    for final in ("0x0", "2x2", "4x4"):  # the start, the deadlock and the top corner
+        assert compile_verb(path, "--final", final) == plain
+
+
+@st.composite
+def swiss_edits(draw):
+    """``fixtures/swiss.pv`` after 1-4 edits, each inserting, replacing or deleting one word.
+
+    A word is a run of letters, of digits or of spaces, or one other
+    character.  A new word is PV punctuation, a name, a keyword or a
+    numeral, ASCII or not, including digits that ``int`` refuses.
+    """
+    words = re.findall(r"[A-Za-z]+|[0-9]+|\s+|\S", (FIXTURES / "swiss.pv").read_text())
+    pieces = [";", ":", ".", " ", "\n", "P", "V", "a", "b", "c", "res", "proc", "Pa", "Vb",
+              "0", "1", "2", "10", "007", "\u00b2", "\u2460", "\u0663", "\u0967\u0968", "\u00bd", "\u00e9"]
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.sampled_from(range(len(words) + 1)))
+        new = [draw(st.sampled_from(pieces))] if draw(st.booleans()) else []
+        words[at:at + draw(st.sampled_from([0, 1]))] = new
+    return "".join(words)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(swiss_edits())
+@example("res a:\u00b2; proc Pa.Va;\n")
+@example("res a:" + "1" * 5000 + "; proc Pa.Va;\n")
+def test_pv_compile_of_an_edited_program_exits_0_1_or_2_in_one_line(program_file, text):
+    program_file.write_text(text, encoding="utf-8")
+    code, out, err = compile_verb(program_file, "--deadlocks")
+    assert "internal error" not in err
+    if code == 2:
+        assert out == "" and err.startswith("ditop: ") and err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert code in (0, 1) and err == ""
 
 
 @st.composite

@@ -105,6 +105,22 @@ def test_one_function_says_a_cell_is_not_a_vertex():
     }
 
 
+def test_the_pv_tokenizer_is_the_one_owner_of_token_classes():
+    # pv._TOKEN is the one regular expression of the PV front end, and no
+    # module re-checks a token with str.isdigit or its relatives, which
+    # accept characters such as ² that int refuses
+    regex_calls, digit_checks = [], []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if isinstance(node.func.value, ast.Name) and node.func.value.id == "re":
+                    regex_calls.append((path.stem, node.func.attr))
+                if node.func.attr in ("isdigit", "isdecimal", "isnumeric"):
+                    digit_checks.append((path.stem, node.lineno))
+    assert regex_calls == [("pv", "compile")]
+    assert digit_checks == []
+
+
 def test_one_module_sets_the_default_budget():
     # errors.DEFAULT_BUDGET is the one default of every bounded search, and
     # errors.check_budget the one check that a budget is not negative
